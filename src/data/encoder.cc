@@ -1,12 +1,17 @@
 #include "data/encoder.h"
 
 #include <cmath>
+#include <string_view>
+#include <unordered_map>
 
 #include "linalg/vector_ops.h"
 #include "util/logging.h"
 
 namespace omnifair {
 namespace {
+
+/// One-hot position of a category the fit never saw.
+constexpr size_t kUnseen = static_cast<size_t>(-1);
 
 bool IsDropped(const std::string& name, const EncoderOptions& options) {
   for (const std::string& dropped : options.drop_columns) {
@@ -36,6 +41,7 @@ void FeatureEncoder::Fit(const Dataset& dataset, const EncoderOptions& options) 
     } else {
       plan.num_categories = col.categories().size();
       if (options_.one_hot_categorical) {
+        plan.categories = col.categories();
         for (const std::string& cat : col.categories()) {
           feature_names_.push_back(plan.name + "=" + cat);
         }
@@ -66,11 +72,23 @@ Matrix FeatureEncoder::Transform(const Dataset& dataset) const {
       }
       offset += 1;
     } else if (options_.one_hot_categorical) {
+      // The dataset's codes index its own dictionary: map each one to the
+      // fitted position of the same name, once per call.
+      std::unordered_map<std::string_view, size_t> fitted;
+      for (size_t k = 0; k < plan.categories.size(); ++k) {
+        fitted.emplace(plan.categories[k], k);
+      }
+      std::vector<size_t> position;
+      position.reserve(col.categories().size());
+      for (const std::string& cat : col.categories()) {
+        const auto it = fitted.find(cat);
+        position.push_back(it == fitted.end() ? kUnseen : it->second);
+      }
       for (size_t r = 0; r < n; ++r) {
         const int code = col.Code(r);
-        if (code >= 0 && static_cast<size_t>(code) < plan.num_categories) {
-          out.Set(r, offset + static_cast<size_t>(code), 1.0);
-        }
+        if (code < 0 || static_cast<size_t>(code) >= position.size()) continue;
+        const size_t k = position[static_cast<size_t>(code)];
+        if (k != kUnseen) out.Set(r, offset + k, 1.0);
       }
       offset += plan.num_categories;
     } else {
@@ -151,6 +169,25 @@ Result<FeatureEncoder> FeatureEncoder::Deserialize(std::istream& is) {
   for (size_t i = 0; i < num_features; ++i) {
     if (!std::getline(is, line)) return Status::InvalidArgument("truncated features");
     encoder.feature_names_.push_back(line);
+  }
+  // The category names live in the one-hot feature names "col=cat".
+  if (encoder.options_.one_hot_categorical) {
+    size_t feature = 0;
+    for (ColumnPlan& plan : encoder.plans_) {
+      if (plan.type == ColumnType::kNumeric) {
+        ++feature;
+        continue;
+      }
+      const std::string prefix = plan.name + "=";
+      for (size_t k = 0; k < plan.num_categories; ++k, ++feature) {
+        if (feature >= num_features ||
+            encoder.feature_names_[feature].compare(0, prefix.size(), prefix) != 0) {
+          return Status::InvalidArgument("encoder features do not match plan " +
+                                         plan.name);
+        }
+        plan.categories.push_back(encoder.feature_names_[feature].substr(prefix.size()));
+      }
+    }
   }
   return encoder;
 }

@@ -43,8 +43,13 @@ class FeatureEncoder {
   void Fit(const Dataset& dataset, const EncoderOptions& options = {});
 
   /// Encodes a dataset with the fitted layout. Columns must match the fitted
-  /// schema by name; categorical codes outside the fitted dictionary map to
-  /// all-zero one-hot blocks.
+  /// schema by name. One-hot cells are matched to the fitted categories by
+  /// name, so a dataset with its own dictionary (another CSV, a serving
+  /// request) encodes like the training data; categories the fit never saw
+  /// map to all-zero one-hot blocks. In raw-code mode
+  /// (one_hot_categorical = false) a cell encodes as the dataset's own
+  /// dictionary code, which matches the fit only for datasets sharing the
+  /// training dictionary (e.g. splits of one dataset).
   Matrix Transform(const Dataset& dataset) const;
 
   /// Fit + Transform in one step.
@@ -69,6 +74,8 @@ class FeatureEncoder {
     double mean = 0.0;
     double stddev = 1.0;
     size_t num_categories = 0;  // one-hot width for categorical columns
+    /// Fitted category names in one-hot order (one-hot mode only).
+    std::vector<std::string> categories;
   };
 
   /// The fitted per-column plans. Streaming ingest (data/stream_reader.h)

@@ -26,6 +26,7 @@
 #include "data/chunked_dataset.h"
 #include "data/csv.h"
 #include "data/dataset.h"
+#include "linalg/simd.h"
 #include "util/status.h"
 #include "util/string_utils.h"
 #include "util/telemetry.h"
@@ -283,20 +284,16 @@ __attribute__((target("avx2"))) SplitOutcome SplitRecordAvx2(
 using SplitRecordFn = SplitOutcome (*)(std::string_view, char, size_t,
                                        std::string_view*);
 
-SplitRecordFn ChooseSplitRecordFn() {
+/// The record splitter of a SIMD backend: it splits a record into exactly
+/// `ncols` quote-free cell views pointing into the record. Both splitters
+/// produce identical cells and outcomes. Following the kernel backend lets
+/// OMNIFAIR_SIMD=off and simd::SetActiveBackend reach the splitter too.
+SplitRecordFn SplitRecordFor(simd::Backend backend) {
 #if defined(OMNIFAIR_HAVE_SPLIT_AVX2)
-  if (__builtin_cpu_supports("avx2")) return SplitRecordAvx2;
+  if (backend == simd::Backend::kAvx2) return SplitRecordAvx2;
 #endif
+  (void)backend;
   return SplitRecordScalar;
-}
-
-/// Splits a record into exactly `ncols` quote-free cell views pointing into
-/// the record. Backend resolved once per process; both backends produce
-/// identical cells and outcomes.
-SplitOutcome SplitRecord(std::string_view record, char delimiter, size_t ncols,
-                         std::string_view* cells) {
-  static const SplitRecordFn split_fn = ChooseSplitRecordFn();
-  return split_fn(record, delimiter, ncols, cells);
 }
 
 /// Zero-copy record scan over a fully-mapped file: identical boundary
@@ -380,7 +377,10 @@ class StreamIngestor {
  public:
   StreamIngestor(const std::string& csv_path, const std::string& out_path,
                  const StreamIngestOptions& options)
-      : csv_path_(csv_path), out_path_(out_path), options_(options) {
+      : csv_path_(csv_path),
+        out_path_(out_path),
+        options_(options),
+        split_record_(SplitRecordFor(simd::ActiveBackend())) {
     options_.encoder.float32_features = true;  // chunked-format contract
     if (options_.block_rows == 0) options_.block_rows = 65536;
     if (options_.read_chunk_bytes == 0) options_.read_chunk_bytes = 1 << 20;
@@ -787,7 +787,7 @@ class StreamIngestor {
       thread_local std::vector<std::string> fields;
       cells.resize(ncols);
       const std::string_view record = RecordAt(r);
-      if (SplitRecord(record, options_.delimiter, ncols, cells.data()) !=
+      if (split_record_(record, options_.delimiter, ncols, cells.data()) !=
           SplitOutcome::kOk) {
         // Slow path: quotes are present, or the plain field count was off
         // (which quotes past the overflow point can also cause). The full
@@ -925,6 +925,7 @@ class StreamIngestor {
   std::string csv_path_;
   std::string out_path_;
   StreamIngestOptions options_;
+  const SplitRecordFn split_record_;  ///< chosen once per ingest
 
   const char* map_base_ = nullptr;  ///< whole-file mapping (zero-copy path)
   size_t map_len_ = 0;

@@ -15,6 +15,11 @@
 namespace omnifair {
 namespace {
 
+/// Sufficient-decrease constant c1 of the full-batch Armijo line search.
+constexpr double kArmijo = 1e-4;
+/// Step halvings the line search tries before it gives up.
+constexpr int kMaxHalvings = 30;
+
 /// Weighted negative log-likelihood + L2, with theta = [w..., b]. `margins`
 /// is caller-owned scratch of size n — the full-batch z = X w computed in one
 /// MatVecInto (simd kernels, float32-aware, no per-call allocation).
@@ -37,16 +42,18 @@ double Loss(const Matrix& X, const std::vector<int>& y,
   return loss;
 }
 
-/// Gradient of Loss w.r.t. theta; returns infinity norm. `margins` is the
-/// same caller-owned scratch as Loss's: it holds z, then sigmoid(z), then the
-/// weighted residuals that feed the X^T product.
-double Gradient(const Matrix& X, const std::vector<int>& y,
-                const std::vector<double>& weights, const std::vector<double>& theta,
-                double l2, std::vector<double>* grad, std::vector<double>* margins) {
+/// Gradient of Loss at theta, from the margins X w that the Loss call at the
+/// same theta left in `margins`: reusing them makes the gradient one
+/// TransposeMatVec instead of a second MatVec as well. Overwrites `margins`
+/// with sigmoid(z), then with the weighted residuals that feed the X^T
+/// product. Returns the gradient's infinity norm, or NaN if any component is
+/// non-finite.
+double GradientFromMargins(const Matrix& X, const std::vector<int>& y,
+                           const std::vector<double>& weights,
+                           const std::vector<double>& theta, double l2,
+                           std::vector<double>* grad, std::vector<double>* margins) {
   const size_t n = X.rows();
   const size_t d = X.cols();
-  margins->resize(n);
-  X.MatVecInto(theta.data(), margins->data());
   double* residual = margins->data();
   const double bias = theta[d];
   for (size_t i = 0; i < n; ++i) residual[i] += bias;
@@ -62,10 +69,85 @@ double Gradient(const Matrix& X, const std::vector<int>& y,
   for (size_t c = 0; c <= d; ++c) {
     (*grad)[c] *= inv_n;
     if (c < d) (*grad)[c] += l2 * theta[c];
+    if (!std::isfinite((*grad)[c])) return std::numeric_limits<double>::quiet_NaN();
     max_abs = std::max(max_abs, std::fabs((*grad)[c]));
   }
   return max_abs;
 }
+
+/// The L-BFGS memory: the last kHistory (s, y) = (step in theta, change in
+/// gradient) pairs in a ring, allocated once per fit.
+class LbfgsHistory {
+ public:
+  /// L-BFGS history length (scipy's default `maxcor`).
+  static constexpr size_t kHistory = 10;
+
+  explicit LbfgsHistory(size_t dim)
+      : dim_(dim), s_(kHistory * dim), y_(kHistory * dim) {}
+
+  bool empty() const { return size_ == 0; }
+  void Clear() { size_ = 0; }
+
+  /// Records the pair for the move from `from` (gradient `from_grad`) to
+  /// `to` (gradient `to_grad`), replacing the oldest pair when full. A pair
+  /// with s.y <= 0 would make the implied Hessian indefinite, so it is
+  /// skipped.
+  void Push(const std::vector<double>& from, const std::vector<double>& to,
+            const std::vector<double>& from_grad,
+            const std::vector<double>& to_grad) {
+    double sy = 0.0;
+    for (size_t c = 0; c < dim_; ++c) {
+      sy += (to[c] - from[c]) * (to_grad[c] - from_grad[c]);
+    }
+    if (!(sy > 0.0)) return;
+    double* s = &s_[head_ * dim_];
+    double* y = &y_[head_ * dim_];
+    for (size_t c = 0; c < dim_; ++c) {
+      s[c] = to[c] - from[c];
+      y[c] = to_grad[c] - from_grad[c];
+    }
+    rho_[head_] = 1.0 / sy;
+    head_ = (head_ + 1) % kHistory;
+    size_ = std::min(size_ + 1, kHistory);
+  }
+
+  /// Two-loop recursion: writes -H g into `direction`, where H is the
+  /// inverse-Hessian approximation of the stored pairs, scaled by the newest
+  /// pair's s.y / y.y. Requires a non-empty history.
+  void Direction(const std::vector<double>& grad,
+                 std::vector<double>* direction) {
+    const simd::Kernels& kernels = simd::Active();
+    double* q = direction->data();
+    std::copy(grad.begin(), grad.end(), q);
+    double alpha[kHistory];
+    for (size_t k = 0; k < size_; ++k) {  // newest to oldest
+      const size_t slot = Slot(k);
+      alpha[slot] = rho_[slot] * kernels.dot(&s_[slot * dim_], q, dim_);
+      kernels.axpy(-alpha[slot], &y_[slot * dim_], q, dim_);
+    }
+    const double* newest_y = &y_[Slot(0) * dim_];
+    const double gamma =
+        1.0 / (rho_[Slot(0)] * kernels.dot(newest_y, newest_y, dim_));
+    for (size_t c = 0; c < dim_; ++c) q[c] *= gamma;
+    for (size_t k = size_; k-- > 0;) {  // oldest to newest
+      const size_t slot = Slot(k);
+      const double beta = rho_[slot] * kernels.dot(&y_[slot * dim_], q, dim_);
+      kernels.axpy(alpha[slot] - beta, &s_[slot * dim_], q, dim_);
+    }
+    for (size_t c = 0; c < dim_; ++c) q[c] = -q[c];
+  }
+
+ private:
+  /// Ring slot of the k-th newest pair.
+  size_t Slot(size_t k) const { return (head_ + kHistory - 1 - k) % kHistory; }
+
+  size_t dim_;
+  std::vector<double> s_;
+  std::vector<double> y_;
+  double rho_[kHistory] = {};
+  size_t head_ = 0;  // next slot to write
+  size_t size_ = 0;
+};
 
 /// Weighted logistic loss and gradient over rows [begin, end) only,
 /// accumulated row by row on the simd kernels (float32 rows widen per lane).
@@ -135,42 +217,49 @@ std::unique_ptr<Classifier> LogisticRegressionTrainer::Fit(
   std::vector<double> theta(d + 1, 0.0);
   if (warm_start_ && warm_theta_.size() == d + 1) theta = warm_theta_;
 
-  std::vector<double> grad(d + 1, 0.0);
-  std::vector<double> candidate(d + 1, 0.0);
   std::vector<double> margins(X.rows(), 0.0);  // shared z/residual scratch
-  double step = options_.learning_rate;
-  double loss = Loss(X, y, weights, theta, options_.l2, &margins);
-  if (!std::isfinite(loss) && warm_start_) {
+  std::vector<double> grad(d + 1, 0.0);
+  double loss = 0.0;
+  double grad_norm = 0.0;
+  auto evaluate_start = [&] {
+    loss = Loss(X, y, weights, theta, options_.l2, &margins);
+    grad_norm =
+        GradientFromMargins(X, y, weights, theta, options_.l2, &grad, &margins);
+    return std::isfinite(loss) && std::isfinite(grad_norm);
+  };
+  bool finite = evaluate_start();
+  if (!finite && warm_start_) {
     // A pathological warm start (e.g. from a diverged previous fit) can put
     // the initial loss out of range; restart from zero instead.
     std::fill(theta.begin(), theta.end(), 0.0);
-    loss = Loss(X, y, weights, theta, options_.l2, &margins);
+    finite = evaluate_start();
   }
-  if (!std::isfinite(loss)) {
+  if (!finite) {
     // Even theta = 0 overflows: the data/weights themselves are degenerate.
     OF_LOG(Warning) << "logistic regression: non-finite loss at theta=0; "
                        "returning the zero-coefficient model";
     return std::make_unique<LogisticRegressionModel>(std::vector<double>(d, 0.0), 0.0);
   }
 
-  // Divergence recovery (DESIGN.md §8): `checkpoint` is the last theta whose
-  // loss was finite; on a non-finite loss/gradient we roll back to it with a
-  // halved learning rate, up to max_divergence_retries times.
-  std::vector<double> checkpoint = theta;
-  double checkpoint_loss = loss;
+  std::vector<double> next_grad(d + 1, 0.0);
+  std::vector<double> direction(d + 1, 0.0);
+  std::vector<double> candidate(d + 1, 0.0);
+  LbfgsHistory history(d + 1);
+  // Divergence recovery (DESIGN.md §8): theta only ever moves to a point
+  // whose loss and gradient are finite, so it is always the last finite
+  // checkpoint. A non-finite step is not taken; it (or an injected fault)
+  // clears the history and halves the first step, up to
+  // max_divergence_retries times.
+  double first_step = options_.learning_rate;
+  bool step_diverged = false;
   int retries = 0;
 
   for (int iter = 0; iter < options_.max_iterations; ++iter) {
     ++total_iterations_;
-    const double grad_norm =
-        Gradient(X, y, weights, theta, options_.l2, &grad, &margins);
-    const bool diverged = !std::isfinite(loss) || !std::isfinite(grad_norm) ||
-                          FaultInjector::ShouldFail(fault_sites::kLrDescend);
-    if (diverged) {
+    if (step_diverged || FaultInjector::ShouldFail(fault_sites::kLrDescend)) {
       if (retries >= options_.max_divergence_retries) {
         OF_LOG(Warning) << "logistic regression: divergence persisted after "
                         << retries << " retries; returning last checkpoint";
-        theta = checkpoint;
         break;
       }
       ++retries;
@@ -178,34 +267,55 @@ std::unique_ptr<Classifier> LogisticRegressionTrainer::Fit(
       OF_LOG(Warning) << "logistic regression: non-finite loss/gradient at "
                          "iteration "
                       << iter << "; backing off (retry " << retries << ")";
-      theta = checkpoint;
-      loss = checkpoint_loss;
-      step = options_.learning_rate * std::pow(0.5, retries);
+      history.Clear();
+      first_step = options_.learning_rate * std::pow(0.5, retries);
+      step_diverged = false;
       continue;
     }
     if (grad_norm < options_.tolerance) break;
 
-    // Backtracking line search on the full-batch loss.
+    // Quasi-Newton direction with a unit first step; steepest descent from
+    // `first_step` when there is no history or the direction does not
+    // descend.
+    double step = 1.0;
+    double slope = 0.0;
+    if (!history.empty()) {
+      history.Direction(grad, &direction);
+      slope = Dot(grad, direction);
+    }
+    if (!(slope < 0.0)) {
+      history.Clear();
+      for (size_t c = 0; c <= d; ++c) direction[c] = -grad[c];
+      slope = -Dot(grad, grad);
+      step = first_step;
+    }
+
+    // Armijo backtracking on the full-batch loss; NaN never passes.
     bool accepted = false;
-    for (int attempt = 0; attempt < 30; ++attempt) {
-      for (size_t c = 0; c <= d; ++c) candidate[c] = theta[c] - step * grad[c];
-      const double candidate_loss =
-          Loss(X, y, weights, candidate, options_.l2, &margins);
-      if (candidate_loss <= loss) {
-        theta.swap(candidate);
-        loss = candidate_loss;
+    double candidate_loss = loss;
+    for (int attempt = 0; attempt < kMaxHalvings; ++attempt) {
+      for (size_t c = 0; c <= d; ++c) candidate[c] = theta[c] + step * direction[c];
+      candidate_loss = Loss(X, y, weights, candidate, options_.l2, &margins);
+      if (candidate_loss <= loss + kArmijo * step * slope) {
         accepted = true;
-        // Gently expand the step after success to speed convergence.
-        step = std::min(step * 1.25, 64.0);
         break;
       }
       step *= 0.5;
     }
     if (!accepted) break;  // step underflow: converged to numeric precision
-    if (std::isfinite(loss)) {
-      checkpoint = theta;
-      checkpoint_loss = loss;
+
+    // `margins` holds X w of the accepted candidate.
+    const double next_norm = GradientFromMargins(X, y, weights, candidate,
+                                                 options_.l2, &next_grad, &margins);
+    if (!std::isfinite(next_norm)) {
+      step_diverged = true;
+      continue;
     }
+    history.Push(theta, candidate, grad, next_grad);
+    theta.swap(candidate);
+    grad.swap(next_grad);
+    loss = candidate_loss;
+    grad_norm = next_norm;
   }
 
   if (warm_start_) warm_theta_ = theta;

@@ -15,19 +15,22 @@ namespace omnifair {
 struct LogisticRegressionOptions {
   /// L2 regularization strength on the non-intercept coefficients.
   double l2 = 1e-4;
-  /// Maximum full-batch gradient iterations.
+  /// Maximum full-batch L-BFGS iterations (recovery iterations included).
   int max_iterations = 300;
   /// Convergence threshold on the gradient's infinity norm. The default
   /// matches scikit-learn's working precision: accuracy stops changing well
   /// before 1e-4, and a reachable threshold is what lets warm starts
   /// (initializing near the optimum) actually save iterations.
   double tolerance = 1e-4;
-  /// Initial learning rate for backtracking line search.
+  /// Full batch: the first step of the line search on a steepest-descent
+  /// iteration (the first one, and any after a history reset);
+  /// quasi-Newton iterations start from step 1. Mini batch: the SGD step.
   double learning_rate = 1.0;
   /// Divergence recovery (DESIGN.md §8): when the loss or gradient goes
-  /// non-finite, training rolls back to the last finite checkpoint with a
-  /// halved learning rate, at most this many times before giving up and
-  /// returning the checkpoint model.
+  /// non-finite, training rolls back to the last finite checkpoint and
+  /// halves learning_rate (full batch: also clears the L-BFGS history), at
+  /// most this many times before giving up and returning the checkpoint
+  /// model.
   int max_divergence_retries = 3;
   /// Mini-batch SGD (DESIGN.md §16): 0 keeps the exact full-batch path above
   /// (bit-identical to the default trainer); any positive value switches to
@@ -60,9 +63,11 @@ class LogisticRegressionModel : public Classifier {
   double intercept_;
 };
 
-/// Weighted logistic regression trained by full-batch gradient descent with
-/// Nesterov momentum and backtracking line search. Supports warm starts:
-/// when enabled, each Fit initializes from the previous solution, which is
+/// Weighted logistic regression trained by full-batch L-BFGS (DESIGN.md §8:
+/// history of 10 pairs, Armijo backtracking, stop when the gradient's
+/// infinity norm falls below `tolerance`), or by mini-batch SGD when
+/// `batch_size` > 0. Supports warm starts: when enabled, each Fit
+/// initializes from the previous solution with an empty history, which is
 /// the Table 6 optimization in the paper (1.2-3.4x speedups when Algorithm 1
 /// retrains across nearby lambda values).
 class LogisticRegressionTrainer : public Trainer {
@@ -81,8 +86,8 @@ class LogisticRegressionTrainer : public Trainer {
   void SetWarmStart(bool enabled) override { warm_start_ = enabled; }
   void ResetWarmStart() override { warm_theta_.clear(); }
 
-  /// Total gradient-descent iterations across all Fit calls (for the warm
-  /// start speedup accounting in bench_table6).
+  /// Total iterations across all Fit calls: L-BFGS iterations, or SGD
+  /// batches (for the warm start speedup accounting in bench_table6).
   long long total_iterations() const { return total_iterations_; }
 
  private:

@@ -74,6 +74,42 @@ TEST(EncoderTest, TransformUsesTrainStatistics) {
   EXPECT_NEAR(X(0, 0), 0.0, 1e-12);
 }
 
+TEST(EncoderTest, EncodesCategoriesByNameAcrossDictionaries) {
+  // A dataset read from another CSV has its own dictionary: "c" and "a" in
+  // another order, "z" never seen by the fit. Each cell must land on the
+  // fitted column of its name, also after a save/load round trip.
+  FeatureEncoder fitted;
+  fitted.Fit(ToyDataset());
+  std::stringstream saved;
+  fitted.SerializeTo(saved);
+  Result<FeatureEncoder> loaded = FeatureEncoder::Deserialize(saved);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+
+  Dataset request("request");
+  Column age = Column::Numeric("age");
+  Column g = Column::Categorical("g", {"c", "z", "a"});
+  for (int code : {0, 1, 2}) {
+    age.AppendNumeric(25.0);
+    g.AppendCode(code);
+  }
+  request.AddColumn(std::move(age));
+  request.AddColumn(std::move(g));
+  request.SetLabels({0, 1, 0});
+
+  // Columns: age, g=a, g=b, g=c.
+  const std::vector<std::vector<double>> expected = {
+      {0.0, 0.0, 1.0}, {0.0, 0.0, 0.0}, {1.0, 0.0, 0.0}};
+  for (const FeatureEncoder* encoder : {&fitted, &*loaded}) {
+    const Matrix X = encoder->Transform(request);
+    ASSERT_EQ(X.cols(), 4u);
+    for (size_t r = 0; r < 3; ++r) {
+      for (size_t k = 0; k < 3; ++k) {
+        EXPECT_EQ(X(r, 1 + k), expected[r][k]) << "row " << r << " g=" << k;
+      }
+    }
+  }
+}
+
 TEST(EncoderTest, DropColumns) {
   FeatureEncoder encoder;
   EncoderOptions options;

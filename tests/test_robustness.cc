@@ -303,21 +303,6 @@ TEST_F(RobustnessTest, NonFiniteWeightsAreClampedBeforeTheTrainer) {
 // Trainer divergence recovery
 // ---------------------------------------------------------------------------
 
-TEST_F(RobustnessTest, LogisticRegressionRecoversFromDivergence) {
-  const auto blobs = testing_data::MakeBlobs(400, 2.0, 17);
-  FaultInjector::Arm(fault_sites::kLrDescend, /*fire_at=*/5);
-  LogisticRegressionTrainer trainer;
-  auto model = trainer.Fit(blobs.X, blobs.y, blobs.unit_weights);
-  ASSERT_NE(model, nullptr);
-  EXPECT_GE(RecoveryEventCount(RecoveryEvent::kDivergenceBackoff), 1);
-  const auto* lr = dynamic_cast<const LogisticRegressionModel*>(model.get());
-  ASSERT_NE(lr, nullptr);
-  for (double c : lr->coefficients()) EXPECT_TRUE(std::isfinite(c)) << c;
-  EXPECT_TRUE(std::isfinite(lr->intercept()));
-  // Recovery must not cost model quality on separable data.
-  EXPECT_GT(testing_data::TrainAccuracy(*model, blobs), 0.9);
-}
-
 TEST_F(RobustnessTest, LogisticRegressionGivesUpAfterRetryCap) {
   const auto blobs = testing_data::MakeBlobs(200, 2.0, 17);
   FaultInjector::Arm(fault_sites::kLrDescend, /*fire_at=*/1, /*repeat=*/true);

@@ -12,6 +12,7 @@
 #include "data/datasets.h"
 #include "data/encoder.h"
 #include "data/synthetic_stream.h"
+#include "linalg/simd.h"
 #include "util/fault_injector.h"
 
 namespace omnifair {
@@ -131,6 +132,33 @@ std::string BasicCsv() {
       "29,b,1.0,0\n";
 }
 
+/// Quoted newline and comma, CRLF line ends, no trailing newline.
+std::string QuotedCrlfCsv() {
+  return
+      "age,grp,note,label\r\n"
+      "25,a,\"line\nbreak\",1\r\n"
+      "40,b,plain,0\r\n"
+      "31,a,\"with,comma\",1\r\n"
+      "52,b,last,0";  // no trailing newline
+}
+
+/// "age" is inferred numeric from block 0 (rows 2-3); "oops" arrives later.
+std::string BadNumberCsv() {
+  return
+      "age,grp,label\n"
+      "25,a,1\n"
+      "30,b,0\n"
+      "oops,a,1\n";
+}
+
+/// Record 3 opens a quote that never closes.
+std::string DanglingQuoteCsv() {
+  return
+      "age,grp,label\n"
+      "25,a,1\n"
+      "\"open,b,0";
+}
+
 TEST(StreamIngestTest, SingleBlockMatchesInMemoryEncoding) {
   const std::string csv = TempPath("ingest_parity.csv");
   const std::string out = TempPath("ingest_parity.ofcd");
@@ -187,12 +215,7 @@ TEST(StreamIngestTest, TinyReadChunksAndBlocksStillParse) {
   // rows exercise the multi-block path.
   const std::string csv = TempPath("ingest_tiny.csv");
   const std::string out = TempPath("ingest_tiny.ofcd");
-  WriteFile(csv,
-            "age,grp,note,label\r\n"
-            "25,a,\"line\nbreak\",1\r\n"
-            "40,b,plain,0\r\n"
-            "31,a,\"with,comma\",1\r\n"
-            "52,b,last,0");  // no trailing newline
+  WriteFile(csv, QuotedCrlfCsv());
 
   StreamIngestOptions options = BasicIngestOptions();
   options.block_rows = 2;
@@ -237,12 +260,7 @@ TEST(StreamIngestTest, MmapAndChunkedReadProduceIdenticalFiles) {
   // byte-for-byte, including on quoted newlines and a missing trailing
   // newline.
   const std::string csv = TempPath("ingest_mmap.csv");
-  WriteFile(csv,
-            "age,grp,note,label\r\n"
-            "25,a,\"line\nbreak\",1\r\n"
-            "40,b,plain,0\r\n"
-            "31,a,\"with,comma\",1\r\n"
-            "52,b,last,0");  // no trailing newline
+  WriteFile(csv, QuotedCrlfCsv());
 
   const std::string mmap_out = TempPath("ingest_mmap_on.ofcd");
   const std::string read_out = TempPath("ingest_mmap_off.ofcd");
@@ -260,11 +278,7 @@ TEST(StreamIngestTest, ErrorsCarryRecordNumberAndByteOffset) {
   // later block and must fail with the record number + absolute byte offset.
   const std::string csv = TempPath("ingest_err.csv");
   const std::string out = TempPath("ingest_err.ofcd");
-  const std::string content =
-      "age,grp,label\n"
-      "25,a,1\n"
-      "30,b,0\n"
-      "oops,a,1\n";
+  const std::string content = BadNumberCsv();
   WriteFile(csv, content);
 
   StreamIngestOptions options = BasicIngestOptions();
@@ -285,10 +299,7 @@ TEST(StreamIngestTest, UnterminatedQuoteBlamesTheDanglingRecord) {
   // is never emitted), not at the last complete record — on the mmap scan
   // and the chunked-read fallback alike.
   const std::string csv = TempPath("ingest_dangling.csv");
-  const std::string content =
-      "age,grp,label\n"
-      "25,a,1\n"
-      "\"open,b,0";  // record 3, quote never closed
+  const std::string content = DanglingQuoteCsv();  // record 3
   WriteFile(csv, content);
   const size_t expected_offset = content.find("\"open");
 
@@ -338,6 +349,58 @@ TEST(StreamIngestTest, UnseenCategoryInLaterBlockEncodesAllZero) {
   EXPECT_GE(block->groups[0], 2);  // sentinel code outside the dictionary
   // Row 1 ("a") encodes normally.
   EXPECT_EQ(block->groups[1], 0);
+}
+
+TEST(StreamIngestTest, ScalarAndVectorSplittersProduceIdenticalFiles) {
+  // The record splitter follows the SIMD backend. Both must write the same
+  // bytes and fail with the same status on every edge case, on the mapped
+  // scan and on tiny read chunks. Records of 32+ bytes reach the vector
+  // loop, not only its tail. Vacuous on scalar-only machines.
+  const std::string long_cell(40, 'x');
+  const std::vector<std::string> cases = {
+      BasicCsv(),
+      QuotedCrlfCsv(),
+      BadNumberCsv(),
+      DanglingQuoteCsv(),
+      "age,grp,note,label\n25,a," + long_cell + ",1\n40,b,plain,0\n"
+      "31,a," + long_cell + ",1\n52,b,\"" + long_cell + ",x\",0\n"
+      "60,a," + long_cell + ",\"1\"\n",
+      "age,grp,note,label\n25,a," + long_cell + ",1\n40,b," + long_cell +
+      ",0\n31,a," + long_cell + ",1,extra\n52,b,short\n",
+  };
+  const simd::Backend original = simd::ActiveBackend();
+  auto ingest = [&](simd::Backend backend, size_t index, bool use_mmap,
+                    std::string* bytes) {
+    simd::SetActiveBackend(backend);
+    const std::string csv = TempPath("ingest_backend.csv");
+    const std::string out = TempPath("ingest_backend.ofcd");
+    WriteFile(csv, cases[index]);
+    std::remove(out.c_str());
+    StreamIngestOptions options = BasicIngestOptions();
+    options.block_rows = 2;
+    options.use_mmap = use_mmap;
+    options.read_chunk_bytes = 5;
+    const Status status = StreamCsvToChunked(csv, out, options).status();
+    *bytes = ReadFile(out);
+    return status;
+  };
+  for (simd::Backend backend : {simd::Backend::kAvx2, simd::Backend::kNeon}) {
+    if (!simd::BackendAvailable(backend)) continue;
+    for (size_t i = 0; i < cases.size(); ++i) {
+      for (const bool use_mmap : {true, false}) {
+        std::string scalar_bytes;
+        std::string vector_bytes;
+        const Status scalar =
+            ingest(simd::Backend::kScalar, i, use_mmap, &scalar_bytes);
+        const Status vector = ingest(backend, i, use_mmap, &vector_bytes);
+        EXPECT_EQ(scalar.ToString(), vector.ToString())
+            << "case " << i << " use_mmap=" << use_mmap;
+        EXPECT_EQ(scalar_bytes, vector_bytes)
+            << "case " << i << " use_mmap=" << use_mmap;
+      }
+    }
+  }
+  simd::SetActiveBackend(original);
 }
 
 TEST(StreamIngestTest, MissingGroupColumnFails) {
