@@ -1,6 +1,7 @@
 #ifndef OMNIFAIR_BENCH_BENCH_COMMON_H_
 #define OMNIFAIR_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -19,6 +20,7 @@
 #include "data/datasets.h"
 #include "data/split.h"
 #include "linalg/vector_ops.h"
+#include "ml/logistic_regression.h"
 #include "ml/metrics.h"
 #include "ml/trainer_registry.h"
 #include "util/json_writer.h"
@@ -59,6 +61,27 @@ inline size_t EnvRows(size_t fallback) {
 
 inline int EnvSeeds(int fallback) {
   return static_cast<int>(EnvPositiveLong("OMNIFAIR_BENCH_SEEDS", fallback));
+}
+
+/// Runs per timed cell of the paper-shape benches (Table 6, Table 8, Fig. 5).
+/// Their cells take 10-50 ms, where one Stopwatch reading sits in timer
+/// noise, so each cell reports the median over this many runs; the runs are
+/// deterministic, so only their times differ.
+constexpr int kCellRepetitions = 5;
+
+/// Median of a non-empty sample.
+inline double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                : 0.5 * (values[mid - 1] + values[mid]);
+}
+
+/// Solver iterations so far of a logistic regression trainer; 0 for any
+/// other trainer (the benches print it beside fit counts and times).
+inline long long LrIterations(const Trainer* trainer) {
+  const auto* lr = dynamic_cast<const LogisticRegressionTrainer*>(trainer);
+  return lr != nullptr ? lr->total_iterations() : 0;
 }
 
 /// Per-dataset bench defaults: a fraction of the paper's sizes so the whole
@@ -104,6 +127,9 @@ struct MethodResult {
   double test_auc = 0.5;
   double seconds = 0.0;
   int models_trained = 0;
+  /// Logistic regression solver iterations over the run's fits (0 when the
+  /// method never fits the LR trainer, e.g. Zafar's own solver).
+  long long lr_iterations = 0;
 };
 
 inline MethodResult AuditToResult(const Classifier& model,
@@ -142,6 +168,7 @@ inline MethodResult RunMethod(const std::string& method,
     out.val_accuracy = fair->val_accuracy;
     out.seconds = fair->train_seconds;
     out.models_trained = fair->models_trained;
+    out.lr_iterations = LrIterations(trainer.get());
     return out;
   }
 
@@ -169,6 +196,7 @@ inline MethodResult RunMethod(const std::string& method,
   out.val_accuracy = result->val_accuracy;
   out.seconds = result->train_seconds;
   out.models_trained = result->models_trained;
+  out.lr_iterations = LrIterations(trainer.get());
   return out;
 }
 
@@ -185,6 +213,7 @@ struct Aggregate {
   double test_auc = 0.0;
   double seconds = 0.0;
   double models = 0.0;
+  double lr_iterations = 0.0;
   double sat_accuracy = 0.0;
   double sat_disparity = 0.0;
   double sat_auc = 0.0;
@@ -197,6 +226,7 @@ struct Aggregate {
     test_auc += r.test_auc;
     seconds += r.seconds;
     models += r.models_trained;
+    lr_iterations += static_cast<double>(r.lr_iterations);
     if (r.satisfied) {
       ++satisfied;
       sat_accuracy += r.test_accuracy;
@@ -209,6 +239,7 @@ struct Aggregate {
   double MeanAuc() const { return runs ? test_auc / runs : 0.0; }
   double MeanSeconds() const { return runs ? seconds / runs : 0.0; }
   double MeanModels() const { return runs ? models / runs : 0.0; }
+  double MeanLrIterations() const { return runs ? lr_iterations / runs : 0.0; }
   double SatisfiedAccuracy() const {
     return satisfied ? sat_accuracy / satisfied : 0.0;
   }

@@ -6,7 +6,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "core/problem.h"
@@ -256,84 +258,124 @@ class JsonCapturingReporter : public benchmark::ConsoleReporter {
   BenchReporter& out_;
 };
 
-/// Median-free ns-per-call timer: doubles the repetition count until one
-/// timed batch exceeds ~10 ms, which washes out clock granularity without
-/// needing google-benchmark's machinery (both tables must run in the same
-/// process for a machine-relative ratio).
+/// ns per call of `fn` over one timed batch of `reps` calls.
 template <typename Fn>
-double TimePerCallNs(Fn&& fn) {
+double TimeBatchNs(Fn& fn, long reps) {
   using Clock = std::chrono::steady_clock;
+  const auto start = Clock::now();
+  for (long r = 0; r < reps; ++r) fn();
+  return std::chrono::duration<double, std::nano>(Clock::now() - start).count() /
+         static_cast<double>(reps);
+}
+
+/// A repetition count whose timed batch takes at least ~5 ms, which washes
+/// out clock granularity without google-benchmark's machinery (both tables
+/// must run in the same process for a machine-relative ratio).
+template <typename Fn>
+long CalibrateReps(Fn& fn) {
   fn();  // warm up: fault pages in, resolve the dispatch table
   long reps = 1;
-  for (;;) {
-    const auto start = Clock::now();
-    for (long r = 0; r < reps; ++r) fn();
-    const double ns =
-        std::chrono::duration<double, std::nano>(Clock::now() - start).count();
-    if (ns >= 1e7 || reps >= (1L << 24)) return ns / static_cast<double>(reps);
+  while (reps < (1L << 24) &&
+         TimeBatchNs(fn, reps) * static_cast<double>(reps) < 5e6) {
     reps *= 4;
   }
+  return reps;
 }
+
+/// Timed scalar/active pairs per kernel. The two sides alternate, so a
+/// frequency or cache disturbance lands on both halves of a pair, and the
+/// reported ratio is the median over the pairs.
+constexpr int kSpeedupPairs = 7;
 
 /// One "kernel_speedup" row comparing the active backend against the scalar
 /// table in-process. The *_speedup fields (which tools/bench_diff.py gates
 /// on) are machine-relative ratios, so a committed snapshot from one box is
 /// a meaningful baseline on another of the same ISA; they are emitted only
 /// when a vector backend is active, so scalar-only machines diff vacuously
-/// clean instead of flagging a phantom regression.
+/// clean instead of flagging a phantom regression. The *_ns fields are the
+/// medians of each side over the same pairs.
 void ReportKernelSpeedups(BenchReporter& out) {
   const simd::Kernels& active = simd::Active();
   const simd::Kernels& scalar = simd::ScalarKernels();
   const bool vectorized = simd::ActiveBackend() != simd::Backend::kScalar;
   const size_t n = 4096;
-  std::vector<double> a(n), b(n), acc(n, 0.0), v(n);
+  std::vector<double> a(n), b(n), acc(n, 0.0), v(n), margins(n), weights(n);
   std::vector<float> f(n);
+  std::vector<int> labels(n);
   for (size_t i = 0; i < n; ++i) {
     a[i] = 0.25 + static_cast<double>(i % 31);
     b[i] = 1.5 - static_cast<double>(i % 17);
     v[i] = -6.0 + 12.0 * static_cast<double>(i % 97) / 96.0;
     f[i] = static_cast<float>(a[i]);
+    margins[i] = v[i];
+    weights[i] = 0.5 + static_cast<double>(i % 5) * 0.25;
+    labels[i] = static_cast<int>((i * 7) % 3 == 0);
   }
   BenchReporter::Row& row = out.AddRow("kernel_speedup");
   row.Label("backend", simd::BackendName(simd::ActiveBackend()));
   row.Value("n", static_cast<double>(n));
   std::printf("\nkernel_speedup (n=%zu, backend=%s)\n", n,
               simd::BackendName(simd::ActiveBackend()));
-  auto add = [&](const char* name, double scalar_ns, double simd_ns) {
-    const double speedup = scalar_ns / simd_ns;
-    row.Value(std::string(name) + "_scalar_ns", scalar_ns)
-        .Value(std::string(name) + "_simd_ns", simd_ns);
+  auto add = [&](const char* name, auto&& scalar_fn, auto&& active_fn) {
+    const long scalar_reps = CalibrateReps(scalar_fn);
+    const long active_reps = CalibrateReps(active_fn);
+    std::vector<double> scalar_ns, simd_ns, ratios;
+    for (int pair = 0; pair < kSpeedupPairs; ++pair) {
+      scalar_ns.push_back(TimeBatchNs(scalar_fn, scalar_reps));
+      simd_ns.push_back(TimeBatchNs(active_fn, active_reps));
+      ratios.push_back(scalar_ns.back() / simd_ns.back());
+    }
+    const double speedup = Median(ratios);
+    row.Value(std::string(name) + "_scalar_ns", Median(scalar_ns))
+        .Value(std::string(name) + "_simd_ns", Median(simd_ns));
     if (vectorized) row.Value(std::string(name) + "_speedup", speedup);
-    std::printf("  %-10s scalar %9.1f ns   active %9.1f ns   speedup %5.2fx\n",
-                name, scalar_ns, simd_ns, speedup);
+    std::printf("  %-10s scalar %9.1f ns   active %9.1f ns   speedup %5.2fx"
+                "   (median of %d pairs, %.2f-%.2fx)\n",
+                name, Median(scalar_ns), Median(simd_ns), speedup, kSpeedupPairs,
+                *std::min_element(ratios.begin(), ratios.end()),
+                *std::max_element(ratios.begin(), ratios.end()));
   };
   add("dot",
-      TimePerCallNs([&] { benchmark::DoNotOptimize(scalar.dot(a.data(), b.data(), n)); }),
-      TimePerCallNs([&] { benchmark::DoNotOptimize(active.dot(a.data(), b.data(), n)); }));
+      [&] { benchmark::DoNotOptimize(scalar.dot(a.data(), b.data(), n)); },
+      [&] { benchmark::DoNotOptimize(active.dot(a.data(), b.data(), n)); });
   add("axpy",
-      TimePerCallNs([&] {
+      [&] {
         scalar.axpy(1e-9, b.data(), acc.data(), n);
         benchmark::ClobberMemory();
-      }),
-      TimePerCallNs([&] {
+      },
+      [&] {
         active.axpy(1e-9, b.data(), acc.data(), n);
         benchmark::ClobberMemory();
-      }));
+      });
   add("sum",
-      TimePerCallNs([&] { benchmark::DoNotOptimize(scalar.sum(a.data(), n)); }),
-      TimePerCallNs([&] { benchmark::DoNotOptimize(active.sum(a.data(), n)); }));
+      [&] { benchmark::DoNotOptimize(scalar.sum(a.data(), n)); },
+      [&] { benchmark::DoNotOptimize(active.sum(a.data(), n)); });
   add("sigmoid",
-      TimePerCallNs([&] {
+      [&] {
         scalar.sigmoid_inplace(v.data(), n);
         benchmark::ClobberMemory();
-      }),
-      TimePerCallNs([&] {
+      },
+      [&] {
         active.sigmoid_inplace(v.data(), n);
         benchmark::ClobberMemory();
-      }));
+      });
   add("dot_f32",
-      TimePerCallNs([&] { benchmark::DoNotOptimize(scalar.dot_f32(f.data(), b.data(), n)); }),
-      TimePerCallNs([&] { benchmark::DoNotOptimize(active.dot_f32(f.data(), b.data(), n)); }));
+      [&] { benchmark::DoNotOptimize(scalar.dot_f32(f.data(), b.data(), n)); },
+      [&] { benchmark::DoNotOptimize(active.dot_f32(f.data(), b.data(), n)); });
+  // The fused LR loss pass; it overwrites its margins with residuals, so each
+  // call first restores them (the copy is timed on both sides alike).
+  std::vector<double> scratch(n);
+  add("logistic",
+      [&] {
+        std::copy(margins.begin(), margins.end(), scratch.begin());
+        benchmark::DoNotOptimize(scalar.logistic_loss_residual(
+            scratch.data(), 0.1, weights.data(), labels.data(), n));
+      },
+      [&] {
+        std::copy(margins.begin(), margins.end(), scratch.begin());
+        benchmark::DoNotOptimize(active.logistic_loss_residual(
+            scratch.data(), 0.1, weights.data(), labels.data(), n));
+      });
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "linalg/simd.h"
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/telemetry.h"
@@ -14,14 +15,6 @@ namespace {
 bool IsValidationBlock(size_t index, const StreamTuneOptions& options) {
   const size_t period = std::max<size_t>(options.val_block_period, 2);
   return index % period == period - 1;
-}
-
-double Sigmoid(double z) { return 1.0 / (1.0 + std::exp(-z)); }
-
-/// log(1 + e^z) without overflow for large |z|.
-double Log1pExp(double z) {
-  if (z > 30.0) return z;
-  return std::log1p(std::exp(z));
 }
 
 /// Per-group label counts over the train blocks.
@@ -238,10 +231,16 @@ class StreamTuner {
   /// Weighted mini-batch SGD over the train blocks: blocks are visited in a
   /// seeded shuffled order per epoch, batches are contiguous rows within a
   /// block, and accumulation is serial — bit-identical at any thread count.
+  /// Each batch runs on the simd kernels: dot_f32 margins, one fused logistic
+  /// loss/residual call, and the residuals scattered by axpy_f32 in row
+  /// order.
   Result<std::vector<double>> FitSgd(double lambda) {
     const size_t d = num_features_;
+    const simd::Kernels& kernels = simd::Active();
     std::vector<double> theta(d + 1, 0.0);
     std::vector<double> grad(d + 1, 0.0);
+    std::vector<double> residuals;  // per-batch margins, then residuals
+    std::vector<double> row_weights;
     const size_t batch =
         std::max<size_t>(1, std::min<size_t>(options_.batch_size,
                                              std::numeric_limits<size_t>::max()));
@@ -265,25 +264,28 @@ class StreamTuner {
         if (!block.ok()) return block.status();
         const size_t rows = block->labels.size();
         for (size_t begin = 0; begin < rows; begin += batch) {
-          const size_t end = std::min(rows, begin + batch);
-          std::fill(grad.begin(), grad.end(), 0.0);
-          double batch_loss = 0.0;
-          for (size_t i = begin; i < end; ++i) {
-            const float* row = block->features.RowF(i);
-            double z = theta[d];
-            for (size_t c = 0; c < d; ++c) z += theta[c] * row[c];
-            const int y = block->labels[i];
-            const double w = WeightOf(block->groups[i], y, lambda);
-            if (w == 0.0) continue;
-            const double target = static_cast<double>(y);
-            batch_loss += w * (Log1pExp(z) - target * z);
-            const double residual = w * (Sigmoid(z) - target);
-            if (residual != 0.0) {
-              for (size_t c = 0; c < d; ++c) grad[c] += residual * row[c];
-              grad[d] += residual;
-            }
+          const size_t batch_rows = std::min(rows - begin, batch);
+          if (residuals.size() < batch_rows) {
+            residuals.resize(batch_rows);
+            row_weights.resize(batch_rows);
           }
-          const double inv_rows = 1.0 / static_cast<double>(end - begin);
+          for (size_t i = 0; i < batch_rows; ++i) {
+            residuals[i] = kernels.dot_f32(block->features.RowF(begin + i),
+                                           theta.data(), d);
+            row_weights[i] = WeightOf(block->groups[begin + i],
+                                      block->labels[begin + i], lambda);
+          }
+          const double batch_loss = kernels.logistic_loss_residual(
+              residuals.data(), theta[d], row_weights.data(),
+              block->labels.data() + begin, batch_rows);
+          std::fill(grad.begin(), grad.end(), 0.0);
+          for (size_t i = 0; i < batch_rows; ++i) {
+            if (residuals[i] == 0.0) continue;
+            kernels.axpy_f32(residuals[i], block->features.RowF(begin + i),
+                             grad.data(), d);
+            grad[d] += residuals[i];
+          }
+          const double inv_rows = 1.0 / static_cast<double>(batch_rows);
           ++t;
           const double step = options_.lr_schedule == LrSchedule::kInvSqrt
                                   ? lr / std::sqrt(static_cast<double>(t))
@@ -322,6 +324,7 @@ class StreamTuner {
   /// Streams the validation blocks, accumulating per-group confusion counts.
   Result<EvalResult> Evaluate(const std::vector<double>& theta) const {
     const size_t d = num_features_;
+    const simd::Kernels& kernels = simd::Active();
     const size_t num_groups = data_.meta().group_names.size();
     std::vector<ValCounts> counts(num_groups);
     uint64_t total = 0;
@@ -331,9 +334,8 @@ class StreamTuner {
       if (!block.ok()) return block.status();
       const size_t rows = block->labels.size();
       for (size_t i = 0; i < rows; ++i) {
-        const float* row = block->features.RowF(i);
-        double z = theta[d];
-        for (size_t c = 0; c < d; ++c) z += theta[c] * row[c];
+        const double z =
+            theta[d] + kernels.dot_f32(block->features.RowF(i), theta.data(), d);
         const int pred = z >= 0.0 ? 1 : 0;
         const int y = block->labels[i];
         ++total;

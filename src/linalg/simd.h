@@ -17,16 +17,19 @@ enum class Backend {
 };
 
 /// Dispatch table for the dense numeric kernels behind vector_ops.h, Matrix
-/// products, and the batched LR/MLP/GBDT predict paths. All accumulators are
-/// double regardless of backend; the *_f32 variants read float32 feature
-/// data (widened per lane) against double coefficients, so only the input
-/// width changes, never the arithmetic precision.
+/// products, the LR fits, and the batched LR/MLP/GBDT predict paths. All
+/// accumulators are double regardless of backend; the *_f32 variants read
+/// float32 feature data (widened per lane) against double coefficients, so
+/// only the input width changes, never the arithmetic precision.
 ///
 /// Precision contract: backends may reassociate reductions and contract
 /// multiply-add (FMA), so results agree with the scalar path to O(n * eps),
-/// not bitwise. sigmoid/softmax use a polynomial exp on vector backends,
-/// accurate to a few ulp. Callers that need bit-stable results across
-/// OMNIFAIR_SIMD settings must not route through these kernels.
+/// not bitwise. sigmoid/softmax/logistic_loss_residual use a polynomial exp
+/// (and log1p) on vector backends, accurate to a few ulp. The elementwise
+/// kernels run a ragged tail through the same vector lanes, padded, so an
+/// element's result never depends on its position in the batch. Callers that
+/// need bit-stable results across OMNIFAIR_SIMD settings must not route
+/// through these kernels.
 struct Kernels {
   /// Unordered-reduction dot product of a[0..n) and b[0..n).
   double (*dot)(const double* a, const double* b, size_t n);
@@ -36,9 +39,6 @@ struct Kernels {
   void (*scale)(double s, double* v, size_t n);
   /// Unordered-reduction sum of v[0..n).
   double (*sum)(const double* v, size_t n);
-  /// Fused LR scoring kernel: sigmoid(bias + dot(a, b)).
-  double (*dot_sigmoid)(const double* a, const double* b, size_t n,
-                        double bias);
   /// v[i] = sigmoid(v[i]) for a whole batch of margins.
   void (*sigmoid_inplace)(double* v, size_t n);
   /// Row-wise softmax over a row-major rows x cols block (max-shifted).
@@ -46,8 +46,15 @@ struct Kernels {
   /// Mixed-precision variants: float32 data, double coefficients/accumulators.
   double (*dot_f32)(const float* a, const double* b, size_t n);
   void (*axpy_f32)(double s, const float* b, double* a, size_t n);
-  double (*dot_sigmoid_f32)(const float* a, const double* b, size_t n,
-                            double bias);
+  /// Fused weighted logistic loss and residual pass over n rows (DESIGN.md
+  /// §8). With z = margins[i] + bias and t = exp(-|z|), computed once per
+  /// row, returns the unordered sum of
+  ///   weights[i] * (max(z, 0) - y z + log1p(t)),   y = (labels[i] == 1),
+  /// and overwrites margins[i] with the residual weights[i] * (sigmoid(z) - y),
+  /// where sigmoid(z) is 1/(1+t) for z >= 0 and t/(1+t) otherwise.
+  double (*logistic_loss_residual)(double* margins, double bias,
+                                   const double* weights, const int* labels,
+                                   size_t n);
 };
 
 /// Human-readable backend name ("scalar", "avx2", "neon").

@@ -20,50 +20,36 @@ constexpr double kArmijo = 1e-4;
 /// Step halvings the line search tries before it gives up.
 constexpr int kMaxHalvings = 30;
 
-/// Weighted negative log-likelihood + L2, with theta = [w..., b]. `margins`
-/// is caller-owned scratch of size n — the full-batch z = X w computed in one
-/// MatVecInto (simd kernels, float32-aware, no per-call allocation).
+/// Weighted negative log-likelihood + L2, with theta = [w..., b]. `residuals`
+/// is caller-owned scratch of size n: one MatVecInto writes the margins
+/// z = X w into it (simd kernels, float32-aware, no per-call allocation),
+/// then the fused logistic kernel turns them into the weighted residuals
+/// w_i (sigmoid(z_i) - y_i) that Gradient needs at this theta, with one exp
+/// per row shared by the loss and the residual.
 double Loss(const Matrix& X, const std::vector<int>& y,
             const std::vector<double>& weights, const std::vector<double>& theta,
-            double l2, std::vector<double>* margins) {
+            double l2, std::vector<double>* residuals) {
   const size_t n = X.rows();
   const size_t d = X.cols();
-  margins->resize(n);
-  X.MatVecInto(theta.data(), margins->data());
-  const double bias = theta[d];
-  double loss = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double z = (*margins)[i] + bias;
-    // -log p(y_i | x_i) = log(1+exp(z)) - y*z.
-    loss += weights[i] * (Log1pExp(z) - (y[i] == 1 ? z : 0.0));
-  }
+  residuals->resize(n);
+  X.MatVecInto(theta.data(), residuals->data());
+  double loss = simd::Active().logistic_loss_residual(
+      residuals->data(), theta[d], weights.data(), y.data(), n);
   loss /= static_cast<double>(n);
   for (size_t c = 0; c < d; ++c) loss += 0.5 * l2 * theta[c] * theta[c];
   return loss;
 }
 
-/// Gradient of Loss at theta, from the margins X w that the Loss call at the
-/// same theta left in `margins`: reusing them makes the gradient one
-/// TransposeMatVec instead of a second MatVec as well. Overwrites `margins`
-/// with sigmoid(z), then with the weighted residuals that feed the X^T
-/// product. Returns the gradient's infinity norm, or NaN if any component is
+/// Gradient of Loss at theta, from the residuals that the Loss call at the
+/// same theta left in `residuals`: one TransposeMatVec plus their sum.
+/// Returns the gradient's infinity norm, or NaN if any component is
 /// non-finite.
-double GradientFromMargins(const Matrix& X, const std::vector<int>& y,
-                           const std::vector<double>& weights,
-                           const std::vector<double>& theta, double l2,
-                           std::vector<double>* grad, std::vector<double>* margins) {
+double Gradient(const Matrix& X, const std::vector<double>& theta, double l2,
+                const std::vector<double>& residuals, std::vector<double>* grad) {
   const size_t n = X.rows();
   const size_t d = X.cols();
-  double* residual = margins->data();
-  const double bias = theta[d];
-  for (size_t i = 0; i < n; ++i) residual[i] += bias;
-  SigmoidInPlace(residual, n);
-  for (size_t i = 0; i < n; ++i) {
-    residual[i] = weights[i] * (residual[i] - (y[i] == 1 ? 1.0 : 0.0));
-  }
-  X.TransposeMatVecInto(residual, grad->data());
-  (*grad)[d] = 0.0;
-  for (size_t i = 0; i < n; ++i) (*grad)[d] += residual[i];
+  X.TransposeMatVecInto(residuals.data(), grad->data());
+  (*grad)[d] = simd::Active().sum(residuals.data(), n);
   const double inv_n = 1.0 / static_cast<double>(n);
   double max_abs = 0.0;
   for (size_t c = 0; c <= d; ++c) {
@@ -149,38 +135,39 @@ class LbfgsHistory {
   size_t size_ = 0;
 };
 
-/// Weighted logistic loss and gradient over rows [begin, end) only,
-/// accumulated row by row on the simd kernels (float32 rows widen per lane).
+/// Weighted logistic loss and gradient over rows [begin, end) only: the
+/// batch's margins from the simd dot kernels (float32 rows widen per lane),
+/// one fused logistic kernel call, then the residuals scattered into the
+/// gradient in row order. `residuals` is scratch of at least end - begin.
 /// Writes the unnormalized gradient sum into `grad` and returns the
 /// unnormalized weighted loss sum. Serial by design: mini-batch updates must
 /// be bit-reproducible at any thread count.
 double BatchLossGradient(const Matrix& X, const std::vector<int>& y,
                          const std::vector<double>& weights,
                          const std::vector<double>& theta, size_t begin,
-                         size_t end, std::vector<double>* grad) {
+                         size_t end, std::vector<double>* residuals,
+                         std::vector<double>* grad) {
   const size_t d = X.cols();
+  const size_t rows = end - begin;
   const bool f32 = X.is_float32();
   const simd::Kernels& kernels = simd::Active();
+  double* r = residuals->data();
+  for (size_t i = 0; i < rows; ++i) {
+    r[i] = f32 ? kernels.dot_f32(X.RowF(begin + i), theta.data(), d)
+               : kernels.dot(X.Row(begin + i), theta.data(), d);
+  }
+  const double loss = kernels.logistic_loss_residual(
+      r, theta[d], weights.data() + begin, y.data() + begin, rows);
   std::fill(grad->begin(), grad->end(), 0.0);
   double* g = grad->data();
-  const double bias = theta[d];
-  double loss = 0.0;
-  for (size_t i = begin; i < end; ++i) {
-    const double* row = f32 ? nullptr : X.Row(i);
-    const float* rowf = f32 ? X.RowF(i) : nullptr;
-    const double z = bias + (f32 ? kernels.dot_f32(rowf, theta.data(), d)
-                                 : kernels.dot(theta.data(), row, d));
-    const double target = y[i] == 1 ? 1.0 : 0.0;
-    loss += weights[i] * (Log1pExp(z) - target * z);
-    const double residual = weights[i] * (Sigmoid(z) - target);
-    if (residual != 0.0) {
-      if (f32) {
-        kernels.axpy_f32(residual, rowf, g, d);
-      } else {
-        kernels.axpy(residual, row, g, d);
-      }
-      g[d] += residual;
+  for (size_t i = 0; i < rows; ++i) {
+    if (r[i] == 0.0) continue;
+    if (f32) {
+      kernels.axpy_f32(r[i], X.RowF(begin + i), g, d);
+    } else {
+      kernels.axpy(r[i], X.Row(begin + i), g, d);
     }
+    g[d] += r[i];
   }
   return loss;
 }
@@ -217,14 +204,13 @@ std::unique_ptr<Classifier> LogisticRegressionTrainer::Fit(
   std::vector<double> theta(d + 1, 0.0);
   if (warm_start_ && warm_theta_.size() == d + 1) theta = warm_theta_;
 
-  std::vector<double> margins(X.rows(), 0.0);  // shared z/residual scratch
+  std::vector<double> residuals(X.rows(), 0.0);  // shared z/residual scratch
   std::vector<double> grad(d + 1, 0.0);
   double loss = 0.0;
   double grad_norm = 0.0;
   auto evaluate_start = [&] {
-    loss = Loss(X, y, weights, theta, options_.l2, &margins);
-    grad_norm =
-        GradientFromMargins(X, y, weights, theta, options_.l2, &grad, &margins);
+    loss = Loss(X, y, weights, theta, options_.l2, &residuals);
+    grad_norm = Gradient(X, theta, options_.l2, residuals, &grad);
     return std::isfinite(loss) && std::isfinite(grad_norm);
   };
   bool finite = evaluate_start();
@@ -295,7 +281,7 @@ std::unique_ptr<Classifier> LogisticRegressionTrainer::Fit(
     double candidate_loss = loss;
     for (int attempt = 0; attempt < kMaxHalvings; ++attempt) {
       for (size_t c = 0; c <= d; ++c) candidate[c] = theta[c] + step * direction[c];
-      candidate_loss = Loss(X, y, weights, candidate, options_.l2, &margins);
+      candidate_loss = Loss(X, y, weights, candidate, options_.l2, &residuals);
       if (candidate_loss <= loss + kArmijo * step * slope) {
         accepted = true;
         break;
@@ -304,9 +290,9 @@ std::unique_ptr<Classifier> LogisticRegressionTrainer::Fit(
     }
     if (!accepted) break;  // step underflow: converged to numeric precision
 
-    // `margins` holds X w of the accepted candidate.
-    const double next_norm = GradientFromMargins(X, y, weights, candidate,
-                                                 options_.l2, &next_grad, &margins);
+    // `residuals` holds those of the accepted candidate.
+    const double next_norm =
+        Gradient(X, candidate, options_.l2, residuals, &next_grad);
     if (!std::isfinite(next_norm)) {
       step_diverged = true;
       continue;
@@ -344,6 +330,7 @@ std::unique_ptr<Classifier> LogisticRegressionTrainer::FitMiniBatch(
   }
 
   std::vector<double> grad(d + 1, 0.0);
+  std::vector<double> residuals(batch);
   Rng shuffle_rng(options_.shuffle_seed);
 
   // Same recovery contract as the full-batch loop (DESIGN.md §8): the
@@ -364,7 +351,8 @@ std::unique_ptr<Classifier> LogisticRegressionTrainer::FitMiniBatch(
     for (size_t b : order) {
       const size_t begin = b * batch;
       const size_t end = std::min(n, begin + batch);
-      epoch_loss += BatchLossGradient(X, y, weights, theta, begin, end, &grad);
+      epoch_loss +=
+          BatchLossGradient(X, y, weights, theta, begin, end, &residuals, &grad);
       ++global_batch;
       ++total_iterations_;
       double step = learning_rate;

@@ -6,6 +6,7 @@
 
 #include "ml/bundle.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -105,6 +106,34 @@ class BundleTest : public ::testing::Test {
     }
   }
 
+  /// Scoring the rows in consecutive batches of 1, 3, 5 and 4k + 1 rows must
+  /// reproduce the whole-batch scores bit for bit, on double and float32
+  /// storage: a row's score may not depend on its position in the batch.
+  void ExpectBatchPositionIndependent(const Classifier& model,
+                                      const std::string& what) {
+    const Matrix Xf = X_.ToFloat32();
+    for (bool f32 : {false, true}) {
+      const Matrix& X = f32 ? Xf : X_;
+      const char* storage = f32 ? "f32" : "f64";
+      const std::vector<double> whole = model.PredictProba(X);
+      for (size_t batch : {1u, 3u, 5u, 9u, 257u}) {
+        size_t mismatched = 0;
+        for (size_t begin = 0; begin < X.rows(); begin += batch) {
+          std::vector<size_t> rows;
+          for (size_t r = begin; r < std::min(X.rows(), begin + batch); ++r) {
+            rows.push_back(r);
+          }
+          const std::vector<double> part = model.PredictProba(X.SelectRows(rows));
+          for (size_t j = 0; j < rows.size(); ++j) {
+            mismatched += part[j] != whole[begin + j];
+          }
+        }
+        EXPECT_EQ(mismatched, 0u)
+            << what << " " << storage << " rows differ at batch size " << batch;
+      }
+    }
+  }
+
   Dataset dataset_;
   FeatureEncoder encoder_;
   Matrix X_;
@@ -194,6 +223,27 @@ TEST_F(BundleTest, GbdtParityAcrossSplitMethods) {
     auto bundle = RoundTrip(*model, "gbdt.ofb");
     ASSERT_NE(bundle, nullptr);
     ExpectBitIdentical(*model, *bundle);
+  }
+}
+
+TEST_F(BundleTest, ScoresDoNotDependOnBatchPosition) {
+  MlpOptions mlp_options;
+  mlp_options.hidden_units = 9;
+  mlp_options.max_epochs = 30;
+  GbdtOptions gbdt_options;
+  gbdt_options.num_rounds = 10;
+  gbdt_options.max_depth = 3;
+  const std::pair<std::string, std::unique_ptr<Classifier>> models[] = {
+      {"lr", MakeTrainer("lr", 3)->Fit(X_, y_, weights_)},
+      {"mlp", MlpTrainer(mlp_options).Fit(X_, y_, weights_)},
+      {"gbdt", GbdtTrainer(gbdt_options).Fit(X_, y_, weights_)},
+  };
+  for (const auto& [name, model] : models) {
+    ASSERT_NE(model, nullptr) << name;
+    ExpectBatchPositionIndependent(*model, name);
+    auto bundle = RoundTrip(*model, name + "_position.ofb");
+    ASSERT_NE(bundle, nullptr) << name;
+    ExpectBatchPositionIndependent(*bundle->MakeModel(), name + " flat");
   }
 }
 

@@ -1,7 +1,9 @@
 #include "linalg/simd.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -170,19 +172,141 @@ TEST(SimdParityTest, SigmoidHandlesExtremeArguments) {
   }
 }
 
-TEST(SimdParityTest, DotSigmoidMatchesScalar) {
+/// Labels 0/1 (plus a stray 2, which counts as negative) and weights in
+/// [0, 2), zeros included, for the logistic kernel sweeps.
+int LabelAt(size_t i) {
+  return i % 7 == 3 ? 2 : static_cast<int>((i * 5 + i / 3) % 2);
+}
+double WeightAt(size_t i) {
+  return i % 11 == 4 ? 0.0 : std::fabs(Element(i, 0.7)) / 31.0 * 1.9;
+}
+
+TEST(SimdParityTest, LogisticLossResidualMatchesScalar) {
   const simd::Kernels& ref = simd::ScalarKernels();
+  constexpr size_t kGuard = 5;  // sentinels past the end: the tail must not spill
   for (simd::Backend backend : VectorBackends()) {
     const simd::Kernels& k = simd::KernelsFor(backend);
-    for (size_t n : {0u, 1u, 7u, 64u, 257u}) {
-      std::vector<double> a(n), b(n);
-      for (size_t i = 0; i < n; ++i) {
-        a[i] = 0.01 * Element(i, 0.5);
-        b[i] = 0.01 * Element(i, 1.5);
+    for (size_t n = 0; n <= kMaxN; ++n) {
+      for (size_t off : kOffsets) {
+        std::vector<double> m0(n + off + kGuard), w(n + off);
+        std::vector<int> y(n + off);
+        for (size_t i = 0; i < m0.size(); ++i) {
+          m0[i] = -40.0 + 80.0 * static_cast<double>(i % 101) / 100.0 +
+                  0.01 * Element(i, 0.2);
+        }
+        for (size_t i = 0; i < n + off; ++i) {
+          w[i] = WeightAt(i);
+          y[i] = LabelAt(i);
+        }
+        std::vector<double> m1 = m0;
+        const std::vector<double> before = m0;
+        const double expected = ref.logistic_loss_residual(
+            m0.data() + off, -0.3, w.data() + off, y.data() + off, n);
+        const double got = k.logistic_loss_residual(
+            m1.data() + off, -0.3, w.data() + off, y.data() + off, n);
+        EXPECT_NEAR(got, expected, 1e-13 * std::fabs(expected))
+            << simd::BackendName(backend) << " n=" << n << " off=" << off;
+        for (size_t i = 0; i < m0.size(); ++i) {
+          if (i < off || i >= off + n) {
+            EXPECT_EQ(m1[i], before[i]) << "wrote outside the rows, i=" << i;
+          } else {
+            EXPECT_NEAR(m1[i], m0[i], 1e-15)
+                << simd::BackendName(backend) << " n=" << n << " off=" << off
+                << " i=" << i;
+          }
+        }
       }
-      const double expected = ref.dot_sigmoid(a.data(), b.data(), n, -0.3);
-      const double got = k.dot_sigmoid(a.data(), b.data(), n, -0.3);
-      EXPECT_NEAR(got, expected, 1e-12) << simd::BackendName(backend) << " n=" << n;
+    }
+  }
+}
+
+TEST(SimdParityTest, LogisticLossResidualHandlesExtremeMargins) {
+  const simd::Kernels& ref = simd::ScalarKernels();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double extremes[] = {1e4,   -1e4, 710.0, -710.0,
+                             0.0,   -0.0, inf,   -inf,
+                             std::numeric_limits<double>::quiet_NaN()};
+  constexpr size_t kRows = 7;  // one full vector plus a padded tail of 3
+  for (simd::Backend backend : VectorBackends()) {
+    const simd::Kernels& k = simd::KernelsFor(backend);
+    for (double extreme : extremes) {
+      for (size_t pos = 0; pos < kRows; ++pos) {
+        for (int label : {0, 1}) {
+          for (double weight : {0.0, 1.25}) {
+            std::vector<double> m0(kRows), w(kRows);
+            std::vector<int> y(kRows);
+            for (size_t i = 0; i < kRows; ++i) {
+              m0[i] = 3.0 * Element(i, 0.4) / 31.0;
+              w[i] = 0.5 + 0.1 * static_cast<double>(i);
+              y[i] = LabelAt(i + 1);
+            }
+            m0[pos] = extreme;
+            w[pos] = weight;
+            y[pos] = label;
+            std::vector<double> m1 = m0;
+            const double expected = ref.logistic_loss_residual(
+                m0.data(), 0.0, w.data(), y.data(), kRows);
+            const double got = k.logistic_loss_residual(m1.data(), 0.0, w.data(),
+                                                        y.data(), kRows);
+            const std::string where = std::string(simd::BackendName(backend)) +
+                                      " z=" + std::to_string(extreme) +
+                                      " pos=" + std::to_string(pos) +
+                                      " y=" + std::to_string(label) +
+                                      " w=" + std::to_string(weight);
+            ASSERT_EQ(std::isfinite(got), std::isfinite(expected)) << where;
+            if (std::isfinite(expected)) {
+              EXPECT_NEAR(got, expected, 1e-13 * std::fabs(expected)) << where;
+            }
+            for (size_t i = 0; i < kRows; ++i) {
+              ASSERT_EQ(std::isfinite(m1[i]), std::isfinite(m0[i])) << where;
+              if (std::isfinite(m0[i])) {
+                EXPECT_NEAR(m1[i], m0[i], 1e-15) << where;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// The elementwise transcendental kernels give a row the same bits wherever
+/// it sits in the batch: the ragged tail runs through the body's lanes.
+TEST(SimdParityTest, ElementwiseKernelsIgnoreBatchPosition) {
+  const std::vector<simd::Backend> backends = [] {
+    std::vector<simd::Backend> all = VectorBackends();
+    all.push_back(simd::Backend::kScalar);
+    return all;
+  }();
+  constexpr size_t kRows = 23;
+  for (simd::Backend backend : backends) {
+    const simd::Kernels& k = simd::KernelsFor(backend);
+    std::vector<double> margins(kRows), w(kRows);
+    std::vector<int> y(kRows);
+    for (size_t i = 0; i < kRows; ++i) {
+      margins[i] = 9.0 * Element(i, 1.1) / 31.0;
+      w[i] = WeightAt(i);
+      y[i] = LabelAt(i);
+    }
+    std::vector<double> sigmoid_whole = margins;
+    std::vector<double> residual_whole = margins;
+    k.sigmoid_inplace(sigmoid_whole.data(), kRows);
+    k.logistic_loss_residual(residual_whole.data(), 0.1, w.data(), y.data(), kRows);
+    for (size_t batch : {1u, 2u, 3u, 5u, 6u, 9u}) {
+      std::vector<double> sigmoid = margins;
+      std::vector<double> residual = margins;
+      for (size_t begin = 0; begin < kRows; begin += batch) {
+        const size_t len = std::min(batch, kRows - begin);
+        k.sigmoid_inplace(sigmoid.data() + begin, len);
+        k.logistic_loss_residual(residual.data() + begin, 0.1, w.data() + begin,
+                                 y.data() + begin, len);
+      }
+      for (size_t i = 0; i < kRows; ++i) {
+        EXPECT_EQ(sigmoid[i], sigmoid_whole[i])
+            << simd::BackendName(backend) << " batch=" << batch << " row " << i;
+        EXPECT_EQ(residual[i], residual_whole[i])
+            << simd::BackendName(backend) << " batch=" << batch << " row " << i;
+      }
     }
   }
 }
@@ -236,9 +360,6 @@ TEST(SimdParityTest, Float32VariantsMatchScalar) {
         for (size_t i = 0; i < n + off; ++i) {
           EXPECT_NEAR(y1[i], y0[i], 1e-12 * std::max(1.0, std::fabs(y0[i])));
         }
-        EXPECT_NEAR(k.dot_sigmoid_f32(a.data() + off, b.data() + off, n, 0.2),
-                    ref.dot_sigmoid_f32(a.data() + off, b.data() + off, n, 0.2),
-                    1e-12);
       }
     }
   }

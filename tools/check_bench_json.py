@@ -85,7 +85,8 @@ PER_BENCH_SECTIONS = {
                            "axpy_scalar_ns", "axpy_simd_ns",
                            "sum_scalar_ns", "sum_simd_ns",
                            "sigmoid_scalar_ns", "sigmoid_simd_ns",
-                           "dot_f32_scalar_ns", "dot_f32_simd_ns"],
+                           "dot_f32_scalar_ns", "dot_f32_simd_ns",
+                           "logistic_scalar_ns", "logistic_simd_ns"],
     },
 }
 
