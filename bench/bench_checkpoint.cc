@@ -1,10 +1,10 @@
 // Durability-layer overhead (DESIGN.md §12). Checkpointing a tuning run
-// serializes every fitted model and snapshots the replay log to disk at
-// record barriers. Two policies are timed against a plain run: interval 0
+// encodes every fitted model as a bundle image and snapshots the replay log
+// to disk at record barriers. Two policies are timed against a plain run: interval 0
 // (fsync at every barrier, the worst case — dominated by fsync latency on
 // tiny fits) and the production 5s throttle, which must stay under 2%
 // overhead. Also measures resume: replaying a completed log is pure
-// deserialization and should beat retraining by orders of magnitude.
+// decoding and should beat retraining by orders of magnitude.
 
 #include "bench/bench_common.h"
 
@@ -21,9 +21,10 @@ void Run(BenchReporter& reporter) {
   reporter.Config("metric", "sp");
   reporter.Config("epsilon", 0.03);
   PrintHeader("Checkpoint overhead under LR (SP epsilon = 0.03)");
-  std::printf("%-10s %-8s %12s %14s %10s %14s %10s %12s\n", "dataset",
-              "trainer", "plain (s)", "ckpt@0 (s)", "overhead", "ckpt@5s (s)",
-              "overhead", "resume (s)");
+  std::printf("%-10s %-8s %6s %10s %11s %9s %11s %9s %11s %11s %11s\n",
+              "dataset", "trainer", "fits", "plain (s)", "ckpt@0 (s)",
+              "overhead", "ckpt@5s (s)", "overhead", "resume (s)", "ckpt@0 B",
+              "ckpt@5s B");
 
   const std::string ckpt_path =
       BenchReporter::OutputDirectory() + "/bench_checkpoint.ckpt";
@@ -34,7 +35,12 @@ void Run(BenchReporter& reporter) {
       double eager_seconds = 0.0;
       double throttled_seconds = 0.0;
       double resume_seconds = 0.0;
-      long long ckpt_bytes = 0;
+      double fits = 0.0;
+      // Bytes each policy wrote per run (checkpoint.bytes counter deltas).
+      double eager_bytes = 0.0;
+      double throttled_bytes = 0.0;
+      const auto* bytes_counter =
+          MetricsRegistry::Global().GetCounter("checkpoint.bytes");
       for (int s = 0; s < seeds; ++s) {
         const Dataset data = MakeBenchDataset(dataset, 300 + s);
         const TrainValTestSplit split = SplitDefault(data, 400 + s);
@@ -49,6 +55,7 @@ void Run(BenchReporter& reporter) {
           OmniFairOptions options;
           if (config > 0) options.checkpoint.path = ckpt_path;
           if (config == 2) options.checkpoint.interval_s = 5.0;
+          const long long bytes_before = bytes_counter->Value();
           Stopwatch stopwatch;
           auto fair =
               OmniFair(options).Train(split.train, split.val, trainer.get(), {spec});
@@ -57,6 +64,11 @@ void Run(BenchReporter& reporter) {
           (config == 0 ? plain_seconds
                        : config == 1 ? eager_seconds : throttled_seconds) +=
               elapsed;
+          const double written =
+              static_cast<double>(bytes_counter->Value() - bytes_before);
+          if (config == 0) fits += fair->models_trained;
+          if (config == 1) eager_bytes += written;
+          if (config == 2) throttled_bytes += written;
         }
 
         // Resume the *finished* checkpoint: every fit replays from the log,
@@ -70,19 +82,18 @@ void Run(BenchReporter& reporter) {
               OmniFair(options).Train(split.train, split.val, trainer.get(), {spec});
           if (fair.ok()) resume_seconds += stopwatch.ElapsedSeconds();
         }
-        const auto* bytes_counter =
-            MetricsRegistry::Global().GetCounter("checkpoint.bytes");
-        ckpt_bytes = bytes_counter->Value();
       }
       const double eager_overhead =
           plain_seconds > 0.0 ? eager_seconds / plain_seconds - 1.0 : 0.0;
       const double throttled_overhead =
           plain_seconds > 0.0 ? throttled_seconds / plain_seconds - 1.0 : 0.0;
-      std::printf("%-10s %-8s %12.3f %14.3f %9.1f%% %14.3f %9.1f%% %12.3f\n",
-                  dataset.c_str(), trainer_name.c_str(), plain_seconds / seeds,
-                  eager_seconds / seeds, 100.0 * eager_overhead,
-                  throttled_seconds / seeds, 100.0 * throttled_overhead,
-                  resume_seconds / seeds);
+      std::printf(
+          "%-10s %-8s %6.1f %10.3f %11.3f %8.1f%% %11.3f %8.1f%% %11.4f %11.0f "
+          "%11.0f\n",
+          dataset.c_str(), trainer_name.c_str(), fits / seeds,
+          plain_seconds / seeds, eager_seconds / seeds, 100.0 * eager_overhead,
+          throttled_seconds / seeds, 100.0 * throttled_overhead,
+          resume_seconds / seeds, eager_bytes / seeds, throttled_bytes / seeds);
       reporter.AddRow("checkpoint_overhead")
           .Label("dataset", dataset)
           .Label("trainer", trainer_name)
@@ -92,7 +103,9 @@ void Run(BenchReporter& reporter) {
           .Value("overhead_fraction", eager_overhead)
           .Value("throttled_overhead_fraction", throttled_overhead)
           .Value("resume_seconds", resume_seconds / seeds)
-          .Value("checkpoint_bytes", static_cast<double>(ckpt_bytes));
+          .Value("fits", fits / seeds)
+          .Value("checkpoint_bytes", eager_bytes / seeds)
+          .Value("throttled_checkpoint_bytes", throttled_bytes / seeds);
     }
   }
   std::printf("(ckpt@0 snapshots at every fit barrier; production runs use "

@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "core/problem.h"
-#include "ml/serialization.h"
+#include "ml/bundle.h"
 #include "util/fault_injector.h"
 #include "util/logging.h"
 #include "util/telemetry.h"
@@ -12,8 +12,9 @@ namespace omnifair {
 namespace {
 
 /// Checkpoint files are snapshot containers (util/snapshot_io) with these
-/// sections. Bump the version when the record layout changes.
-constexpr uint32_t kCheckpointVersion = 1;
+/// sections. Bump the version when the record layout changes; resume reads
+/// exactly this version (version 1 records held another model codec).
+constexpr uint32_t kCheckpointVersion = 2;
 constexpr char kMetaSection[] = "meta";
 constexpr char kFitsSection[] = "fits";
 
@@ -29,13 +30,17 @@ std::string FormatLambdas(const std::vector<double>& lambdas) {
 }  // namespace
 
 CheckpointManager::CheckpointManager(CheckpointOptions options,
-                                     std::string algorithm)
-    : options_(std::move(options)), algorithm_(std::move(algorithm)) {}
+                                     std::string algorithm,
+                                     const FeatureEncoder& encoder)
+    : options_(std::move(options)),
+      algorithm_(std::move(algorithm)),
+      encoder_(encoder) {}
 
 Result<std::unique_ptr<CheckpointManager>> CheckpointManager::Create(
-    const CheckpointOptions& options, const std::string& algorithm) {
+    const CheckpointOptions& options, const std::string& algorithm,
+    const FeatureEncoder& encoder) {
   auto manager = std::unique_ptr<CheckpointManager>(
-      new CheckpointManager(options, algorithm));
+      new CheckpointManager(options, algorithm, encoder));
   if (options.resume_from.empty()) return manager;
 
   Result<Snapshot> snapshot =
@@ -45,6 +50,12 @@ Result<std::unique_ptr<CheckpointManager>> CheckpointManager::Create(
       OF_COUNTER_INC("checkpoint.corrupt_detected");
     }
     return snapshot.status();
+  }
+  if (snapshot->version != kCheckpointVersion) {
+    return Status::InvalidArgument(
+        "checkpoint " + options.resume_from + " has version " +
+        std::to_string(snapshot->version) + "; this build resumes only version " +
+        std::to_string(kCheckpointVersion));
   }
 
   const SnapshotSection* meta = snapshot->Find(kMetaSection);
@@ -117,22 +128,27 @@ Result<const FitRecord*> CheckpointManager::NextReplay(
   return &record;
 }
 
+Result<std::vector<uint8_t>> CheckpointManager::EncodeModel(
+    const Classifier& model) const {
+  return EncodeBundle(model, encoder_, BundleMeta{});
+}
+
 void CheckpointManager::RecordFit(const std::vector<double>& lambdas,
                                   bool fit_ok, const Status& fit_status,
                                   double seconds, const Classifier* model) {
   std::vector<uint8_t> blob;
   if (fit_ok && model != nullptr) {
-    Result<std::vector<uint8_t>> serialized = SerializeModelBinary(*model);
-    if (!serialized.ok()) {
+    Result<std::vector<uint8_t>> encoded = EncodeModel(*model);
+    if (!encoded.ok()) {
       if (!recording_broken_) {
         recording_broken_ = true;
         OF_LOG(Warning) << "checkpoint recording stopped: "
-                        << serialized.status()
+                        << encoded.status()
                         << " (the log stays a valid prefix of the run)";
       }
       return;
     }
-    blob = std::move(*serialized);
+    blob = std::move(*encoded);
   }
   RecordFitBlob(lambdas, fit_ok, fit_status, seconds, std::move(blob));
 }
@@ -142,7 +158,7 @@ void CheckpointManager::RecordFitBlob(std::vector<double> lambdas, bool fit_ok,
                                       std::vector<uint8_t> model_blob) {
   if (recording_broken_ || crashed_) return;
   if (fit_ok && model_blob.empty()) {
-    // A parallel worker could not serialize its model; same degradation as
+    // A parallel worker could not encode its model; same degradation as
     // RecordFit.
     recording_broken_ = true;
     OF_LOG(Warning) << "checkpoint recording stopped: fit has no model blob";
@@ -231,7 +247,7 @@ Result<std::unique_ptr<CheckpointManager>> AttachCheckpoint(
     return std::unique_ptr<CheckpointManager>();
   }
   Result<std::unique_ptr<CheckpointManager>> manager =
-      CheckpointManager::Create(options, algorithm);
+      CheckpointManager::Create(options, algorithm, problem.encoder());
   if (!manager.ok()) return manager.status();
   if ((*manager)->consumed_seconds() > 0.0) {
     if (problem.budget() != nullptr) {

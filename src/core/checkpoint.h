@@ -14,19 +14,22 @@ namespace omnifair {
 
 class Classifier;
 class FairnessProblem;
+class FeatureEncoder;
 
 // ---------------------------------------------------------------------------
 // Crash-safe checkpoint/resume for tuning runs (DESIGN.md §12).
 //
 // The checkpoint is a replay log: the ordered sequence of every trainer fit a
 // tuning search issued, each with its Lambda vector, outcome, completion time
-// and a bit-exact binary model blob. Because every built-in trainer is
-// deterministic given (X, y, weights, seed) and the tuners' control flow is a
-// pure function of past fit outcomes, re-running a tuner while FitWithLambdas
-// returns the logged models instead of refitting reproduces the interrupted
-// search exactly — the resumed run's final model and concatenated TuneReport
-// are bit-identical to an uninterrupted run (all fields except wall-clock
-// seconds, which no two runs share). One mechanism covers all three tuners.
+// and the fitted model as a bundle image (ml/bundle.h) packed with the
+// problem's encoder, decoded on replay to the trainer's own model class.
+// Because every built-in trainer is deterministic given (X, y, weights, seed)
+// and the tuners' control flow is a pure function of past fit outcomes,
+// re-running a tuner while FitWithLambdas returns the logged models instead
+// of refitting reproduces the interrupted search exactly — the resumed run's
+// final model and concatenated TuneReport are bit-identical to an
+// uninterrupted run (all fields except wall-clock seconds, which no two runs
+// share). One mechanism covers all three tuners.
 //
 // Not supported with warm-start trainers: warm starts carry optimizer state
 // across fits, which a resumed process does not have.
@@ -55,7 +58,8 @@ struct FitRecord {
   std::string status_message;
   /// TunePoint::seconds of the original fit (original run's tune clock).
   double seconds = 0.0;
-  /// SerializeModelBinary bytes; empty when !fit_ok.
+  /// Bundle image of the fitted model (CheckpointManager::EncodeModel);
+  /// empty when !fit_ok.
   std::vector<uint8_t> model_blob;
 };
 
@@ -68,9 +72,11 @@ class CheckpointManager {
   /// Fresh session, or a resume when options.resume_from is set. Resume
   /// failures are typed: kDataLoss (truncated/bit-flipped file, counted in
   /// `checkpoint.corrupt_detected`), kInvalidArgument (not a checkpoint,
-  /// newer version, or written by a different tuner `algorithm`).
+  /// another version, or written by a different tuner `algorithm`).
+  /// Records are packed with `encoder`, which must outlive the manager.
   static Result<std::unique_ptr<CheckpointManager>> Create(
-      const CheckpointOptions& options, const std::string& algorithm);
+      const CheckpointOptions& options, const std::string& algorithm,
+      const FeatureEncoder& encoder);
 
   // --- replay ---------------------------------------------------------------
   /// Only records loaded from resume_from replay; records appended by live
@@ -88,11 +94,14 @@ class CheckpointManager {
   double consumed_seconds() const { return consumed_seconds_; }
 
   // --- recording ------------------------------------------------------------
-  /// Logs one live fit (serializes `model`; pass nullptr for a failed fit).
+  /// The bundle image a fit record carries: `model` packed with the
+  /// manager's encoder. Const, so parallel workers encode off-thread.
+  Result<std::vector<uint8_t>> EncodeModel(const Classifier& model) const;
+  /// Logs one live fit (encodes `model`; pass nullptr for a failed fit).
   void RecordFit(const std::vector<double>& lambdas, bool fit_ok,
                  const Status& fit_status, double seconds,
                  const Classifier* model);
-  /// Same with a pre-serialized blob (parallel workers serialize off-thread).
+  /// Same with a pre-encoded image (parallel workers encode off-thread).
   void RecordFitBlob(std::vector<double> lambdas, bool fit_ok,
                      const Status& fit_status, double seconds,
                      std::vector<uint8_t> model_blob);
@@ -115,10 +124,12 @@ class CheckpointManager {
   size_t num_records() const { return records_.size(); }
 
  private:
-  CheckpointManager(CheckpointOptions options, std::string algorithm);
+  CheckpointManager(CheckpointOptions options, std::string algorithm,
+                    const FeatureEncoder& encoder);
 
   CheckpointOptions options_;
   std::string algorithm_;
+  const FeatureEncoder& encoder_;
   std::vector<FitRecord> records_;
   size_t replay_next_ = 0;
   size_t replay_limit_ = 0;
@@ -126,7 +137,7 @@ class CheckpointManager {
   Stopwatch since_write_;
   bool wrote_once_ = false;
   bool crashed_ = false;
-  /// Set when a record could not be serialized (exotic model family):
+  /// Set when a record could not be encoded (exotic model family):
   /// recording stops so the log stays a valid prefix of the run.
   bool recording_broken_ = false;
   Status last_write_status_;

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "core/run_profile.h"
-#include "ml/serialization.h"
 #include "util/logging.h"
 #include "util/telemetry.h"
 #include "util/thread_pool.h"
@@ -288,13 +287,13 @@ MultiTuneResult GridSearchTuner::RunCollecting(FairnessProblem& problem,
               }
               slot.fit_ok = true;
               if (cp != nullptr) {
-                // Serialize off-thread, before best-selection can move the
-                // model away; the barrier below logs the blob.
+                // Encode off-thread, before best-selection can move the
+                // model away; the barrier below logs the image.
                 RunStageTimer checkpoint_timer(problem.profiler(),
                                                RunStage::kCheckpoint);
-                Result<std::vector<uint8_t>> serialized =
-                    SerializeModelBinary(*outcome.model);
-                if (serialized.ok()) slot.model_blob = std::move(*serialized);
+                Result<std::vector<uint8_t>> encoded =
+                    cp->EncodeModel(*outcome.model);
+                if (encoded.ok()) slot.model_blob = std::move(*encoded);
               }
               const std::vector<int> val_preds =
                   problem.PredictVal(*outcome.model);

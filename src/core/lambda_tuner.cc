@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/run_profile.h"
-#include "ml/serialization.h"
 #include "util/logging.h"
 #include "util/telemetry.h"
 #include "util/thread_pool.h"
@@ -312,9 +311,9 @@ TuneResult LambdaTuner::TuneCoordinate(FairnessProblem& problem, size_t j,
                                            RunStage::kCheckpoint);
             std::vector<uint8_t> blob;
             if (fit_ok) {
-              Result<std::vector<uint8_t>> serialized =
-                  SerializeModelBinary(*probe.outcome.model);
-              if (serialized.ok()) blob = std::move(*serialized);
+              Result<std::vector<uint8_t>> encoded =
+                  cp->EncodeModel(*probe.outcome.model);
+              if (encoded.ok()) blob = std::move(*encoded);
             }
             cp->RecordFitBlob(probe.trial, fit_ok, probe.outcome.status,
                               probe.outcome.seconds, std::move(blob));

@@ -169,15 +169,17 @@ Result<AuditReport> Audit(const Classifier& model, const FeatureEncoder& encoder
                           const Dataset& dataset,
                           const std::vector<FairnessSpec>& specs);
 
-/// Persists a trained FairModel (classifier + encoder + tuned lambdas) to a
-/// single text file so it can be deployed without retraining. Returns
-/// kUnsupported for model families without a serializer (e.g. baselines'
-/// ExpGrad ensembles).
+/// Persists a trained FairModel (classifier + encoder + lambdas, satisfied
+/// flag and validation accuracy) as a model bundle (ml/bundle.h), durably,
+/// so it can be audited or served without retraining. Returns kUnsupported
+/// for model families the bundle cannot hold (e.g. baselines' ExpGrad
+/// ensembles).
 Status SaveFairModel(const FairModel& fair, const std::string& path);
 
-/// Loads a FairModel written by SaveFairModel. Specs are not persisted
-/// (grouping functions are arbitrary callables); re-declare them when
-/// auditing the loaded model.
+/// Loads a FairModel written by SaveFairModel, with the model decoded to its
+/// trainer's class (ModelBundle::DecodeModel). Damaged or foreign files fail
+/// typed like ModelBundle::Open. Specs are not persisted (grouping functions
+/// are arbitrary callables); re-declare them when auditing the loaded model.
 Result<FairModel> LoadFairModel(const std::string& path);
 
 }  // namespace omnifair

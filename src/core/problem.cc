@@ -5,8 +5,8 @@
 
 #include "core/checkpoint.h"
 #include "core/run_profile.h"
+#include "ml/bundle.h"
 #include "ml/metrics.h"
-#include "ml/serialization.h"
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/telemetry.h"
@@ -115,18 +115,18 @@ FairnessProblem::ParallelFitOutcome FairnessProblem::ReplayFitOn(
   }
   const FitRecord& record = **replay;
   if (record.fit_ok) {
-    Result<std::unique_ptr<Classifier>> model =
-        DeserializeModelBinary(record.model_blob);
-    if (!model.ok()) {
-      // A damaged blob that survived the CRC is still data loss; do not
-      // charge the budget for a fit the resumed run never received.
+    Result<std::shared_ptr<const ModelBundle>> bundle =
+        ModelBundle::Open(record.model_blob);
+    if (!bundle.ok()) {
+      // A damaged image that survived the file CRC is still data loss; do
+      // not charge the budget for a fit the resumed run never received.
       OF_COUNTER_INC("checkpoint.corrupt_detected");
       if (replay_failed != nullptr) *replay_failed = true;
-      outcome.status = model.status();
+      outcome.status = bundle.status();
       outcome.seconds = TuneElapsedSeconds();
       return outcome;
     }
-    outcome.model = std::move(*model);
+    outcome.model = (*bundle)->DecodeModel();
   } else {
     outcome.status = Status(static_cast<StatusCode>(record.status_code),
                             record.status_message);

@@ -17,7 +17,7 @@ namespace omnifair {
 namespace {
 
 constexpr uint32_t kChunkedMagic = 0x4443464F;  // "OFCD" little-endian
-constexpr uint32_t kChunkedVersion = 2;
+constexpr uint32_t kChunkedVersion = 3;
 constexpr size_t kHeaderBytes = 16;
 constexpr size_t kTrailerBytes = 16;
 /// u16 category codes reserve one value for the "unseen" sentinel, so a
@@ -329,7 +329,7 @@ Status ChunkedDatasetWriter::AppendPayload(const std::vector<uint8_t>& payload,
 Status ChunkedDatasetWriter::Finalize(const std::string& label_name,
                                       const std::string& group_column,
                                       const std::vector<std::string>& group_names,
-                                      const std::string& encoder_text) {
+                                      const FeatureEncoder& encoder) {
   if (fd_ < 0) {
     return Status::InvalidArgument("Finalize on a closed chunked writer");
   }
@@ -345,7 +345,7 @@ Status ChunkedDatasetWriter::Finalize(const std::string& label_name,
   footer.String(group_column);
   footer.U32(static_cast<uint32_t>(group_names.size()));
   for (const std::string& name : group_names) footer.String(name);
-  footer.String(encoder_text);
+  footer.Bytes(encoder.EncodeSpec());
   footer.U64(static_cast<uint64_t>(blocks_.size()));
   for (const BlockIndexEntry& entry : blocks_) {
     footer.U64(entry.offset);
@@ -442,9 +442,8 @@ Result<ChunkedDataset> ChunkedDataset::Open(const std::string& path) {
                                         "(bad magic)"));
   }
   if (version != kChunkedVersion) {
-    // The packed-block layout landed before any other version shipped, so
-    // reads are exact-match: there are no older files to stay compatible
-    // with, and newer writers may pack differently.
+    // Reads are exact-match: version 2 files embed the encoder as text and
+    // newer writers may pack differently; either is re-ingested, not read.
     return fail(Status::InvalidArgument(
         "chunked dataset " + path + " has version " + std::to_string(version) +
         "; this build reads only version " + std::to_string(kChunkedVersion)));
@@ -516,7 +515,7 @@ Result<ChunkedDataset> ChunkedDataset::Open(const std::string& path) {
     ok = footer.String(&name);
     if (ok) meta.group_names.push_back(std::move(name));
   }
-  ok = ok && footer.String(&meta.encoder_text) && footer.U64(&num_blocks);
+  ok = ok && footer.Bytes(&meta.encoder_spec) && footer.U64(&num_blocks);
   // Each index entry is 28 bytes; a count that cannot fit is corruption.
   if (ok && num_blocks > footer.remaining() / 28 + 1) ok = false;
   for (uint64_t i = 0; ok && i < num_blocks; ++i) {
@@ -643,8 +642,8 @@ Result<DatasetBlock> ChunkedDataset::MaterializeBlock(size_t index) const {
 }
 
 Result<FeatureEncoder> ChunkedDataset::LoadEncoder() const {
-  std::istringstream is(meta_.encoder_text);
-  return FeatureEncoder::Deserialize(is);
+  return FeatureEncoder::DecodeSpec(meta_.encoder_spec.data(),
+                                    meta_.encoder_spec.size());
 }
 
 }  // namespace omnifair

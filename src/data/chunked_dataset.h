@@ -126,7 +126,7 @@ struct ChunkedDatasetMeta {
   std::string label_name;
   std::string group_column;
   std::vector<std::string> group_names;  ///< dictionary for DatasetBlock::groups
-  std::string encoder_text;              ///< FeatureEncoder::SerializeTo payload
+  std::vector<uint8_t> encoder_spec;     ///< FeatureEncoder::EncodeSpec bytes
   std::vector<BlockIndexEntry> blocks;
 };
 
@@ -160,11 +160,12 @@ class ChunkedDatasetWriter {
   /// match rows and the layout's per-row stream widths).
   Status AppendBlock(const CompactBlock& block);
 
-  /// Writes footer + trailer, fsyncs, and atomically renames the temp file
-  /// to the final path. The writer is closed afterwards.
+  /// Writes footer (with `encoder`'s spec) + trailer, fsyncs, and atomically
+  /// renames the temp file to the final path. The writer is closed
+  /// afterwards.
   Status Finalize(const std::string& label_name, const std::string& group_column,
                   const std::vector<std::string>& group_names,
-                  const std::string& encoder_text);
+                  const FeatureEncoder& encoder);
 
   uint64_t total_rows() const { return total_rows_; }
   size_t num_blocks() const { return blocks_.size(); }

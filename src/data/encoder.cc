@@ -6,6 +6,7 @@
 
 #include "linalg/vector_ops.h"
 #include "util/logging.h"
+#include "util/snapshot_io.h"
 
 namespace omnifair {
 namespace {
@@ -106,88 +107,84 @@ Matrix FeatureEncoder::FitTransform(const Dataset& dataset,
   return Transform(dataset);
 }
 
-void FeatureEncoder::SerializeTo(std::ostream& os) const {
-  os.precision(17);
-  os << "encoder 1\n";
-  os << "options " << (options_.standardize_numeric ? 1 : 0) << " "
-     << (options_.one_hot_categorical ? 1 : 0) << " "
-     << options_.drop_columns.size() << "\n";
-  for (const std::string& name : options_.drop_columns) os << name << "\n";
-  os << "plans " << plans_.size() << "\n";
+std::vector<uint8_t> FeatureEncoder::EncodeSpec() const {
+  BinaryWriter writer;
+  writer.U8(options_.standardize_numeric ? 1 : 0);
+  writer.U8(options_.one_hot_categorical ? 1 : 0);
+  writer.U64(plans_.size());
   for (const ColumnPlan& plan : plans_) {
-    os << (plan.type == ColumnType::kNumeric ? "numeric" : "categorical") << " "
-       << plan.mean << " " << plan.stddev << " " << plan.num_categories << " "
-       << plan.name << "\n";
+    writer.String(plan.name);
+    writer.U8(static_cast<uint8_t>(plan.type));
+    writer.F64(plan.mean);
+    writer.F64(plan.stddev);
+    writer.U64(plan.num_categories);
+    writer.U64(plan.categories.size());
+    for (const std::string& category : plan.categories) writer.String(category);
   }
-  os << "features " << feature_names_.size() << "\n";
-  for (const std::string& name : feature_names_) os << name << "\n";
+  return writer.TakeBuffer();
 }
 
-Result<FeatureEncoder> FeatureEncoder::Deserialize(std::istream& is) {
-  std::string tag;
-  int version = 0;
-  if (!(is >> tag >> version) || tag != "encoder" || version != 1) {
-    return Status::InvalidArgument("bad encoder header");
-  }
+Result<FeatureEncoder> FeatureEncoder::DecodeSpec(const uint8_t* data,
+                                                  size_t size) {
+  BinaryReader reader(data, size);
   FeatureEncoder encoder;
-  int standardize = 0;
-  int one_hot = 0;
-  size_t num_drops = 0;
-  if (!(is >> tag >> standardize >> one_hot >> num_drops) || tag != "options") {
-    return Status::InvalidArgument("bad encoder options line");
+  uint8_t standardize = 0;
+  uint8_t one_hot = 0;
+  uint64_t num_plans = 0;
+  if (!reader.U8(&standardize) || !reader.U8(&one_hot) ||
+      !reader.U64(&num_plans)) {
+    return reader.status();
   }
   encoder.options_.standardize_numeric = standardize != 0;
   encoder.options_.one_hot_categorical = one_hot != 0;
-  std::string line;
-  std::getline(is, line);  // consume end of options line
-  for (size_t i = 0; i < num_drops; ++i) {
-    if (!std::getline(is, line)) return Status::InvalidArgument("truncated drops");
-    encoder.options_.drop_columns.push_back(line);
-  }
-  size_t num_plans = 0;
-  if (!(is >> tag >> num_plans) || tag != "plans") {
-    return Status::InvalidArgument("bad encoder plans header");
-  }
-  for (size_t i = 0; i < num_plans; ++i) {
+  // Counts are never reserved up front: every element reads at least four
+  // bytes, so a corrupt count fails at the end of the data instead.
+  for (uint64_t i = 0; i < num_plans; ++i) {
     ColumnPlan plan;
-    std::string type;
-    if (!(is >> type >> plan.mean >> plan.stddev >> plan.num_categories)) {
-      return Status::InvalidArgument("truncated encoder plan");
+    uint8_t type = 0;
+    uint64_t num_categories = 0;
+    uint64_t num_names = 0;
+    if (!reader.String(&plan.name) || !reader.U8(&type) ||
+        !reader.F64(&plan.mean) || !reader.F64(&plan.stddev) ||
+        !reader.U64(&num_categories) || !reader.U64(&num_names)) {
+      return reader.status();
     }
-    plan.type = type == "numeric" ? ColumnType::kNumeric : ColumnType::kCategorical;
-    is >> std::ws;
-    if (!std::getline(is, plan.name)) {
-      return Status::InvalidArgument("truncated plan name");
+    if (type > static_cast<uint8_t>(ColumnType::kCategorical)) {
+      return Status::InvalidArgument("encoder spec: column " + plan.name +
+                                     " has unknown type " +
+                                     std::to_string(type));
+    }
+    plan.type = static_cast<ColumnType>(type);
+    plan.num_categories = static_cast<size_t>(num_categories);
+    for (uint64_t k = 0; k < num_names; ++k) {
+      std::string category;
+      if (!reader.String(&category)) return reader.status();
+      plan.categories.push_back(std::move(category));
+    }
+    // Transform writes num_categories one-hot slots and looks each one up in
+    // `categories`, so the two must agree for a one-hot column.
+    const bool one_hot_column = plan.type == ColumnType::kCategorical &&
+                                encoder.options_.one_hot_categorical;
+    if (plan.categories.size() != (one_hot_column ? plan.num_categories : 0)) {
+      return Status::InvalidArgument(
+          "encoder spec: column " + plan.name + " declares " +
+          std::to_string(plan.num_categories) + " categories but names " +
+          std::to_string(plan.categories.size()));
+    }
+    if (one_hot_column) {
+      for (const std::string& category : plan.categories) {
+        encoder.feature_names_.push_back(plan.name + "=" + category);
+      }
+    } else {
+      encoder.feature_names_.push_back(plan.name);
     }
     encoder.plans_.push_back(std::move(plan));
   }
-  size_t num_features = 0;
-  if (!(is >> tag >> num_features) || tag != "features") {
-    return Status::InvalidArgument("bad encoder features header");
-  }
-  std::getline(is, line);
-  for (size_t i = 0; i < num_features; ++i) {
-    if (!std::getline(is, line)) return Status::InvalidArgument("truncated features");
-    encoder.feature_names_.push_back(line);
-  }
-  // The category names live in the one-hot feature names "col=cat".
-  if (encoder.options_.one_hot_categorical) {
-    size_t feature = 0;
-    for (ColumnPlan& plan : encoder.plans_) {
-      if (plan.type == ColumnType::kNumeric) {
-        ++feature;
-        continue;
-      }
-      const std::string prefix = plan.name + "=";
-      for (size_t k = 0; k < plan.num_categories; ++k, ++feature) {
-        if (feature >= num_features ||
-            encoder.feature_names_[feature].compare(0, prefix.size(), prefix) != 0) {
-          return Status::InvalidArgument("encoder features do not match plan " +
-                                         plan.name);
-        }
-        plan.categories.push_back(encoder.feature_names_[feature].substr(prefix.size()));
-      }
-    }
+  if (!reader.exhausted()) {
+    return Status::DataLoss("encoder spec has " +
+                            std::to_string(reader.remaining()) +
+                            " trailing bytes at byte " +
+                            std::to_string(reader.offset()));
   }
   return encoder;
 }

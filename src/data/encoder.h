@@ -1,8 +1,7 @@
 #ifndef OMNIFAIR_DATA_ENCODER_H_
 #define OMNIFAIR_DATA_ENCODER_H_
 
-#include <istream>
-#include <ostream>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -61,11 +60,16 @@ class FeatureEncoder {
   /// Human-readable names of output features ("age", "race=Hispanic", ...).
   const std::vector<std::string>& feature_names() const { return feature_names_; }
 
-  /// Writes the fitted layout + statistics in the library's text format
-  /// (used by SaveFairModel so a saved model can encode raw data later).
-  void SerializeTo(std::ostream& os) const;
-  /// Reads a layout written by SerializeTo.
-  static Result<FeatureEncoder> Deserialize(std::istream& is);
+  /// The fitted layout as one binary spec: column names and categories as
+  /// length-prefixed strings, statistics as raw IEEE-754 doubles, so any
+  /// name (newlines, leading spaces) and every statistic round-trip exactly.
+  /// The model bundle's `encoder` section and the chunked dataset footer
+  /// embed it. The float32_features storage choice is not part of it.
+  std::vector<uint8_t> EncodeSpec() const;
+  /// Rebuilds an encoder from EncodeSpec() bytes (feature names are derived
+  /// from the plans). Truncated or over-long input is kDataLoss; an unknown
+  /// column type is kInvalidArgument.
+  static Result<FeatureEncoder> DecodeSpec(const uint8_t* data, size_t size);
 
   /// One fitted column's encode step, in feature-layout order.
   struct ColumnPlan {

@@ -476,7 +476,7 @@ class StreamIngestor {
                                      " has a header but no data rows");
     }
     status = writer_->Finalize(options_.label_column, options_.group_column,
-                               group_names_, encoder_text_);
+                               group_names_, encoder_);
     if (!status.ok()) return status;
     stats_.num_features = encoder_.NumFeatures();
     stats_.parse_seconds = parse_seconds_;
@@ -886,9 +886,6 @@ class StreamIngestor {
       Status parse_status = ParsePending(&parsed);
       if (!parse_status.ok()) return parse_status;
       encoder_.Fit(BuildFitDataset(parsed), options_.encoder);
-      std::ostringstream encoder_os;
-      encoder_.SerializeTo(encoder_os);
-      encoder_text_ = encoder_os.str();
       Result<ChunkedLayout> layout = ChunkedLayout::FromPlans(
           encoder_.plans(), options_.encoder.one_hot_categorical);
       if (!layout.ok()) return layout.status();
@@ -942,7 +939,6 @@ class StreamIngestor {
   ChunkedLayout layout_;
   std::vector<std::string> group_names_;
   FeatureEncoder encoder_;
-  std::string encoder_text_;
   bool writer_initialized_ = false;
   std::unique_ptr<ChunkedDatasetWriter> writer_;
 

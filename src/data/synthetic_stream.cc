@@ -1,7 +1,6 @@
 #include "data/synthetic_stream.h"
 
 #include <memory>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -35,7 +34,6 @@ Result<StreamGenerateStats> GenerateSyntheticStream(
   FeatureEncoder encoder;
   EncoderOptions encoder_options = options.encoder;
   encoder_options.float32_features = true;  // chunked-format contract
-  std::string encoder_text;
   std::unique_ptr<ChunkedDatasetWriter> writer;
 
   StreamGenerateStats stats;
@@ -47,9 +45,6 @@ Result<StreamGenerateStats> GenerateSyntheticStream(
     Dataset block = Generate(schema, block_options);
     if (!writer) {
       encoder.Fit(block, encoder_options);
-      std::ostringstream os;
-      encoder.SerializeTo(os);
-      encoder_text = os.str();
       // Packed layout: categorical columns spill as u16 codes, so a 10M-row
       // file stays ~4x smaller than the dense float32 equivalent.
       Result<ChunkedLayout> layout = ChunkedLayout::FromPlans(
@@ -72,7 +67,7 @@ Result<StreamGenerateStats> GenerateSyntheticStream(
   }
 
   Status status = writer->Finalize(schema.label_name, schema.sensitive_attribute,
-                                   group_names, encoder_text);
+                                   group_names, encoder);
   if (!status.ok()) return status;
   stats.num_features = encoder.NumFeatures();
   return stats;

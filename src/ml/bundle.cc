@@ -253,8 +253,9 @@ Status AppendModelSections(const Classifier& model,
 
 }  // namespace
 
-Status WriteBundle(const Classifier& model, const FeatureEncoder& encoder,
-                   const BundleMeta& meta, const std::string& path) {
+Result<std::vector<uint8_t>> EncodeBundle(const Classifier& model,
+                                          const FeatureEncoder& encoder,
+                                          const BundleMeta& meta) {
   std::vector<PendingSection> sections;
 
   BundleMeta resolved = meta;
@@ -273,11 +274,9 @@ Status WriteBundle(const Classifier& model, const FeatureEncoder& encoder,
   AddBytes(&sections, "meta", BundleDtype::kBytes, meta_writer.buffer().data(),
            meta_writer.size());
 
-  std::ostringstream encoder_text;
-  encoder.SerializeTo(encoder_text);
-  const std::string encoder_blob = encoder_text.str();
-  AddBytes(&sections, "encoder", BundleDtype::kBytes, encoder_blob.data(),
-           encoder_blob.size());
+  const std::vector<uint8_t> encoder_spec = encoder.EncodeSpec();
+  AddBytes(&sections, "encoder", BundleDtype::kBytes, encoder_spec.data(),
+           encoder_spec.size());
 
   Status model_status = AppendModelSections(model, &sections);
   if (!model_status.ok()) return model_status;
@@ -321,10 +320,16 @@ Status WriteBundle(const Classifier& model, const FeatureEncoder& encoder,
   OF_CHECK_EQ(out.size(), last_payload_end);
   const uint32_t crc = Crc32(out.buffer().data(), out.size());
   out.U32(crc);
+  return out.TakeBuffer();
+}
 
+Status WriteBundle(const Classifier& model, const FeatureEncoder& encoder,
+                   const BundleMeta& meta, const std::string& path) {
+  Result<std::vector<uint8_t>> image = EncodeBundle(model, encoder, meta);
+  if (!image.ok()) return image.status();
   // Crash-safe publish via the snapshot layer's temp file + fsync + atomic
   // rename, so a rename surviving a power loss implies the data did too.
-  return WriteFileAtomic(path, out.buffer().data(), out.size());
+  return WriteFileAtomic(path, image->data(), image->size());
 }
 
 // ---------------------------------------------------------------------------
@@ -355,11 +360,12 @@ Status ParseHeaderAndTable(const uint8_t* data, uint64_t size,
   if (!reader.U32(&magic) || magic != kBundleMagic) {
     return NearByte(0, "not an omnifair bundle (bad magic)", /*invalid=*/true);
   }
-  if (!reader.U32(&header->version) || header->version == 0 ||
-      header->version > kBundleVersion) {
+  // Exact match: version 1 embedded the encoder as text, and a newer
+  // writer may lay sections out differently.
+  if (!reader.U32(&header->version) || header->version != kBundleVersion) {
     return NearByte(4,
                     "unsupported bundle version " +
-                        std::to_string(header->version) + " (max " +
+                        std::to_string(header->version) + " (this build reads " +
                         std::to_string(kBundleVersion) + ")",
                     /*invalid=*/true);
   }
@@ -410,6 +416,21 @@ Status ParseHeaderAndTable(const uint8_t* data, uint64_t size,
     sections->push_back(std::move(info));
   }
   return Status::Ok();
+}
+
+Result<std::vector<uint8_t>> ReadWholeFile(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) return IoError(path, "open");
+  file.seekg(0, std::ios::end);
+  const std::streamoff length = file.tellg();
+  file.seekg(0, std::ios::beg);
+  std::vector<uint8_t> data(length > 0 ? static_cast<size_t>(length) : 0);
+  if (!data.empty()) {
+    file.read(reinterpret_cast<char*>(data.data()),
+              static_cast<std::streamsize>(data.size()));
+    if (!file) return IoError(path, "read");
+  }
+  return data;
 }
 
 uint32_t ReadTrailerCrc(const uint8_t* data, uint64_t size) {
@@ -489,10 +510,8 @@ struct BundleParser {
     if (section == nullptr) {
       return Status::DataLoss("bundle: missing section 'encoder'");
     }
-    const char* text = reinterpret_cast<const char*>(bundle->base()) +
-                       section->offset;
-    std::istringstream stream(std::string(text, section->size));
-    Result<FeatureEncoder> encoder = FeatureEncoder::Deserialize(stream);
+    Result<FeatureEncoder> encoder = FeatureEncoder::DecodeSpec(
+        bundle->base() + section->offset, section->size);
     if (!encoder.ok()) return encoder.status();
     bundle->encoder_ = std::move(*encoder);
     if (bundle->encoder_.NumFeatures() != bundle->meta_.num_features) {
@@ -719,7 +738,6 @@ Result<std::shared_ptr<const ModelBundle>> ModelBundle::Open(
 
 Result<std::shared_ptr<const ModelBundle>> ModelBundle::Open(
     const std::string& path, const OpenOptions& options) {
-  std::shared_ptr<ModelBundle> bundle(new ModelBundle());
   // The corrupt-read fault site needs a writable image to flip a byte in, so
   // an armed injector forces the owned-buffer path.
   const bool corrupt = FaultInjector::ShouldFail(fault_sites::kIoCorruptRead);
@@ -727,6 +745,7 @@ Result<std::shared_ptr<const ModelBundle>> ModelBundle::Open(
   if (options.allow_mmap && !corrupt) {
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) return IoError(path, "open", errno);
+    std::shared_ptr<ModelBundle> bundle(new ModelBundle());
     struct stat st;
     if (fstat(fd, &st) == 0 && st.st_size > 0) {
       void* addr = mmap(nullptr, static_cast<size_t>(st.st_size), PROT_READ,
@@ -738,27 +757,27 @@ Result<std::shared_ptr<const ModelBundle>> ModelBundle::Open(
       }
     }
     ::close(fd);
+    if (bundle->mapped_) return Parse(std::move(bundle));
   }
 #else
   (void)options;
 #endif
-  if (!bundle->mapped_) {
-    std::ifstream file(path, std::ios::binary);
-    if (!file) return IoError(path, "open");
-    file.seekg(0, std::ios::end);
-    const std::streamoff length = file.tellg();
-    file.seekg(0, std::ios::beg);
-    bundle->owned_.resize(length > 0 ? static_cast<size_t>(length) : 0);
-    if (!bundle->owned_.empty()) {
-      file.read(reinterpret_cast<char*>(bundle->owned_.data()),
-                static_cast<std::streamsize>(bundle->owned_.size()));
-      if (!file) return IoError(path, "read");
-    }
-    bundle->size_ = bundle->owned_.size();
-    if (corrupt && !bundle->owned_.empty()) {
-      bundle->owned_[bundle->owned_.size() * 2 / 3] ^= 0x2a;
-    }
-  }
+  Result<std::vector<uint8_t>> image = ReadWholeFile(path);
+  if (!image.ok()) return image.status();
+  if (corrupt && !image->empty()) (*image)[image->size() * 2 / 3] ^= 0x2a;
+  return Open(std::move(*image));
+}
+
+Result<std::shared_ptr<const ModelBundle>> ModelBundle::Open(
+    std::vector<uint8_t> image) {
+  std::shared_ptr<ModelBundle> bundle(new ModelBundle());
+  bundle->owned_ = std::move(image);
+  bundle->size_ = bundle->owned_.size();
+  return Parse(std::move(bundle));
+}
+
+Result<std::shared_ptr<const ModelBundle>> ModelBundle::Parse(
+    std::shared_ptr<ModelBundle> bundle) {
   BundleParser parser{bundle.get()};
   Status status = parser.Parse();
   if (!status.ok()) return status;
@@ -1073,21 +1092,86 @@ std::unique_ptr<Classifier> ModelBundle::MakeModel(int num_threads) const {
 }
 
 // ---------------------------------------------------------------------------
+// Decoding to the trainer's own model classes
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::vector<double> CopyArray(const double* values, uint64_t count) {
+  return std::vector<double>(values, values + count);
+}
+
+}  // namespace
+
+std::unique_ptr<Classifier> ModelBundle::DecodeModel() const {
+  // One tree's slice of the breadth-first node tables as a node array that
+  // keeps each node's index (right child = left_child + 1), so packing the
+  // decoded tree again reproduces the same tables.
+  auto decode_tree = [this]<typename Node>(uint64_t tree,
+                                           double Node::*payload) {
+    const uint64_t begin = trees_.tree_offsets[tree];
+    std::vector<Node> nodes(trees_.tree_offsets[tree + 1] - begin);
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      Node& node = nodes[i];
+      const int32_t feature = trees_.feature[begin + i];
+      node.is_leaf = feature < 0;
+      if (!node.is_leaf) {
+        node.feature = feature;
+        node.threshold = trees_.threshold[begin + i];
+        node.left = trees_.left_child[begin + i];
+        node.right = node.left + 1;
+      }
+      node.*payload = trees_.leaf_value[begin + i];
+    }
+    return nodes;
+  };
+  switch (family_) {
+    case Family::kLr:
+      return std::make_unique<LogisticRegressionModel>(
+          CopyArray(lr_.coef, lr_.dims), lr_.intercept);
+    case Family::kNb:
+      return std::make_unique<NaiveBayesModel>(
+          nb_.log_prior_ratio, CopyArray(nb_.mean0, nb_.dims),
+          CopyArray(nb_.mean1, nb_.dims), CopyArray(nb_.var0, nb_.dims),
+          CopyArray(nb_.var1, nb_.dims));
+    case Family::kMlp: {
+      Matrix w1(static_cast<size_t>(mlp_.hidden), static_cast<size_t>(mlp_.dims));
+      std::copy(mlp_.w1, mlp_.w1 + mlp_.hidden * mlp_.dims, w1.data().begin());
+      return std::make_unique<MlpModel>(std::move(w1),
+                                        CopyArray(mlp_.b1, mlp_.hidden),
+                                        CopyArray(mlp_.w2, mlp_.hidden), mlp_.b2);
+    }
+    case Family::kDt:
+      return std::make_unique<DecisionTreeModel>(
+          decode_tree(0, &DecisionTreeModel::Node::probability));
+    case Family::kRf: {
+      std::vector<std::unique_ptr<Classifier>> trees;
+      for (uint64_t t = 0; t < trees_.num_trees; ++t) {
+        trees.push_back(std::make_unique<DecisionTreeModel>(
+            decode_tree(t, &DecisionTreeModel::Node::probability)));
+      }
+      return std::make_unique<RandomForestModel>(std::move(trees));
+    }
+    case Family::kGbdt: {
+      std::vector<std::vector<GbdtTreeNode>> trees;
+      for (uint64_t t = 0; t < trees_.num_trees; ++t) {
+        trees.push_back(decode_tree(t, &GbdtTreeNode::value));
+      }
+      return std::make_unique<GbdtModel>(std::move(trees), trees_.base_score,
+                                         trees_.learning_rate);
+    }
+  }
+  return nullptr;
+}
+
+// ---------------------------------------------------------------------------
 // Inspection
 // ---------------------------------------------------------------------------
 
 Result<BundleInspection> InspectBundle(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return IoError(path, "open");
-  file.seekg(0, std::ios::end);
-  const std::streamoff length = file.tellg();
-  file.seekg(0, std::ios::beg);
-  std::vector<uint8_t> data(length > 0 ? static_cast<size_t>(length) : 0);
-  if (!data.empty()) {
-    file.read(reinterpret_cast<char*>(data.data()),
-              static_cast<std::streamsize>(data.size()));
-    if (!file) return IoError(path, "read");
-  }
+  Result<std::vector<uint8_t>> image = ReadWholeFile(path);
+  if (!image.ok()) return image.status();
+  const std::vector<uint8_t>& data = *image;
   ParsedHeader header;
   BundleInspection inspection;
   Status status =

@@ -15,11 +15,12 @@ namespace omnifair {
 // ---------------------------------------------------------------------------
 // Versioned binary model bundles (DESIGN.md §15).
 //
-// A bundle is the deployment artifact of a trained model: one file holding
-// the classifier's parameters as mmap-friendly flat arrays, the fitted
-// feature encoder (so raw rows can be encoded at serve time), and the
-// fairness metadata (λ vector, satisfied flag, metric/sensitive-attribute
-// labels). Wire layout:
+// A bundle is the library's one model format: SaveFairModel/LoadFairModel
+// files, checkpoint fit records and served models are all bundle images.
+// One image holds the classifier's parameters as mmap-friendly flat arrays,
+// the fitted feature encoder's binary spec (so raw rows can be encoded at
+// serve time), and the fairness metadata (λ vector, satisfied flag,
+// validation accuracy, metric/sensitive-attribute labels). Wire layout:
 //
 //   [header 32B]  magic "OFBD" | version | flags | section count | file size
 //   [section table]  per section: name, dtype, absolute offset, byte size
@@ -41,8 +42,8 @@ namespace omnifair {
 
 /// Bundle file magic: the bytes 'O','F','B','D' read as a little-endian u32.
 inline constexpr uint32_t kBundleMagic = 0x4442464Fu;
-/// Current (and maximum readable) bundle codec version.
-inline constexpr uint32_t kBundleVersion = 1;
+/// Bundle codec version; readers accept exactly this one.
+inline constexpr uint32_t kBundleVersion = 2;
 /// Payload alignment: one cache line, and enough for any simd vector width.
 inline constexpr uint64_t kBundleAlign = 64;
 
@@ -78,13 +79,18 @@ struct BundleMeta {
   uint64_t num_features = 0;
 };
 
-/// Serializes `model` + `encoder` + `meta` into a bundle at `path`
-/// (temp file + fsync + atomic rename, so a published bundle is durable).
+/// Serializes `model` + `encoder` + `meta` into an in-memory bundle image.
 /// Supported families: logistic_regression,
 /// naive_bayes, decision_tree, random_forest, gbdt, mlp; anything else
 /// (e.g. baseline ensembles) fails with kUnsupported. An ensemble member
 /// that is not a decision tree, or a tree with no nodes, fails with
 /// kInvalidArgument.
+Result<std::vector<uint8_t>> EncodeBundle(const Classifier& model,
+                                          const FeatureEncoder& encoder,
+                                          const BundleMeta& meta);
+
+/// EncodeBundle, then publishes the image at `path` (temp file + fsync +
+/// atomic rename, so a published bundle is durable).
 Status WriteBundle(const Classifier& model, const FeatureEncoder& encoder,
                    const BundleMeta& meta, const std::string& path);
 
@@ -133,6 +139,10 @@ class ModelBundle : public std::enable_shared_from_this<ModelBundle> {
   /// Open with default options (mmap allowed).
   static Result<std::shared_ptr<const ModelBundle>> Open(
       const std::string& path);
+  /// Validates an in-memory image (e.g. a checkpoint fit record) that the
+  /// bundle takes ownership of; same checks and typed failures as a file.
+  static Result<std::shared_ptr<const ModelBundle>> Open(
+      std::vector<uint8_t> image);
 
   ~ModelBundle();
   ModelBundle(const ModelBundle&) = delete;
@@ -151,9 +161,20 @@ class ModelBundle : public std::enable_shared_from_this<ModelBundle> {
   /// RF/GBDT chunk-parallel predict knob (1 = fully sequential).
   std::unique_ptr<Classifier> MakeModel(int num_threads = 1) const;
 
+  /// The trainer's own model class (LogisticRegressionModel ... GbdtModel)
+  /// rebuilt from the validated arrays, as owned copies that outlive the
+  /// bundle. Its scores equal the encoded model's bit for bit, and encoding
+  /// it again yields the same bundle bytes — what checkpoint replay needs.
+  /// LoadFairModel and checkpoint resume use it; serving uses MakeModel.
+  std::unique_ptr<Classifier> DecodeModel() const;
+
  private:
   friend struct BundleParser;
   ModelBundle() = default;
+
+  /// Runs BundleParser over the image `bundle` holds.
+  static Result<std::shared_ptr<const ModelBundle>> Parse(
+      std::shared_ptr<ModelBundle> bundle);
 
   const uint8_t* base() const;
 

@@ -16,7 +16,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/omnifair.h"
+#include "data/chunked_dataset.h"
+#include "data/datasets.h"
 #include "data/encoder.h"
+#include "data/split.h"
 #include "ml/decision_tree.h"
 #include "ml/gbdt.h"
 #include "ml/logistic_regression.h"
@@ -24,8 +28,10 @@
 #include "ml/naive_bayes.h"
 #include "ml/random_forest.h"
 #include "ml/trainer_registry.h"
+#include "tests/testing_data.h"
 #include "tests/testing_fairness.h"
 #include "util/fault_injector.h"
+#include "util/random.h"
 #include "util/snapshot_io.h"
 
 namespace omnifair {
@@ -84,12 +90,26 @@ class BundleTest : public ::testing::Test {
     return bundle.ok() ? *bundle : nullptr;
   }
 
-  /// PredictProba of `model` and the bundle's flat model must agree bit for
-  /// bit on double and float32 feature storage, at 1 and 4 predict threads.
+  /// PredictProba of `model`, the bundle's flat model and its decoded model
+  /// must agree bit for bit on double and float32 feature storage (flat
+  /// models at 1 and 4 predict threads), and the decoded model must encode
+  /// to the same bundle bytes as `model`.
   void ExpectBitIdentical(const Classifier& model, const ModelBundle& bundle) {
     const Matrix Xf = X_.ToFloat32();
     const std::vector<double> want64 = model.PredictProba(X_);
     const std::vector<double> want32 = model.PredictProba(Xf);
+    std::unique_ptr<Classifier> decoded = bundle.DecodeModel();
+    ASSERT_NE(decoded, nullptr);
+    EXPECT_EQ(decoded->Name(), model.Name());
+    EXPECT_EQ(decoded->PredictProba(X_), want64) << model.Name() << " decoded f64";
+    EXPECT_EQ(decoded->PredictProba(Xf), want32) << model.Name() << " decoded f32";
+    Result<std::vector<uint8_t>> original =
+        EncodeBundle(model, encoder_, bundle.meta());
+    Result<std::vector<uint8_t>> again =
+        EncodeBundle(*decoded, bundle.encoder(), bundle.meta());
+    ASSERT_TRUE(original.ok()) << original.status();
+    ASSERT_TRUE(again.ok()) << again.status();
+    EXPECT_TRUE(*again == *original) << model.Name() << " re-encode differs";
     for (int threads : {1, 4}) {
       std::unique_ptr<Classifier> flat = bundle.MakeModel(threads);
       ASSERT_NE(flat, nullptr);
@@ -314,7 +334,7 @@ TEST_F(BundleTest, InspectReportsSectionsAndCrc) {
   EXPECT_NE(text.find("(ok)"), std::string::npos);
 }
 
-TEST_F(BundleTest, MmapAndOwnedBufferAgree) {
+TEST_F(BundleTest, MmapOwnedBufferAndInMemoryImageAgree) {
   auto model = MakeTrainer("xgb", 3)->Fit(X_, y_, weights_);
   const std::string path = TempPath("mmap.ofb");
   ASSERT_TRUE(WriteBundle(*model, encoder_, BundleMeta{}, path).ok());
@@ -324,11 +344,17 @@ TEST_F(BundleTest, MmapAndOwnedBufferAgree) {
   no_mmap.allow_mmap = false;
   auto owned = ModelBundle::Open(path, no_mmap);
   ASSERT_TRUE(owned.ok());
+  Result<std::vector<uint8_t>> image = EncodeBundle(*model, encoder_, BundleMeta{});
+  ASSERT_TRUE(image.ok());
+  EXPECT_TRUE(*image == ReadFile(path));  // WriteBundle publishes EncodeBundle
+  auto in_memory = ModelBundle::Open(std::move(*image));
+  ASSERT_TRUE(in_memory.ok()) << in_memory.status();
   EXPECT_TRUE((*mapped)->mapped());
   EXPECT_FALSE((*owned)->mapped());
+  EXPECT_FALSE((*in_memory)->mapped());
   const std::vector<double> a = (*mapped)->MakeModel()->PredictProba(X_);
-  const std::vector<double> b = (*owned)->MakeModel()->PredictProba(X_);
-  for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+  EXPECT_EQ((*owned)->MakeModel()->PredictProba(X_), a);
+  EXPECT_EQ((*in_memory)->MakeModel()->PredictProba(X_), a);
 }
 
 TEST_F(BundleTest, ModelsKeepTheBundleAlive) {
@@ -472,18 +498,147 @@ TEST_F(BundleCorruptionTest, HugeTreeOffsetTableFailsTypedNotOob) {
   ExpectTypedFailure(variant, "2^62 tree offset");
 }
 
-TEST_F(BundleCorruptionTest, VersionFromTheFutureIsRejected) {
-  std::vector<uint8_t> future = image_;
-  future[4] = 99;  // version field (little-endian u32 at offset 4)
-  // Keep the CRC valid so the version check itself is what fires.
-  const uint32_t crc = Crc32(future.data(), future.size() - 4);
-  std::memcpy(future.data() + future.size() - 4, &crc, 4);
-  const std::string variant = TempPath("future.ofb");
-  WriteFile(variant, future);
-  auto bundle = ModelBundle::Open(variant);
-  ASSERT_FALSE(bundle.ok());
-  EXPECT_EQ(bundle.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(bundle.status().message().find("version"), std::string::npos);
+TEST_F(BundleCorruptionTest, OtherVersionsAreRejected) {
+  // Version 1 embedded the encoder as text; 99 is from the future.
+  for (uint8_t version : {1, 99}) {
+    std::vector<uint8_t> other = image_;
+    other[4] = version;  // version field (little-endian u32 at offset 4)
+    // Keep the CRC valid so the version check itself is what fires.
+    const uint32_t crc = Crc32(other.data(), other.size() - 4);
+    std::memcpy(other.data() + other.size() - 4, &crc, 4);
+    auto bundle = ModelBundle::Open(std::move(other));
+    ASSERT_FALSE(bundle.ok());
+    EXPECT_EQ(bundle.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(bundle.status().message().find("version"), std::string::npos);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// SaveFairModel / LoadFairModel: a FairModel file is a bundle
+// ---------------------------------------------------------------------------
+
+TEST(FairModelFileTest, RoundTripWithEncoder) {
+  SyntheticOptions options;
+  options.num_rows = 2000;
+  const Dataset dataset = MakeCompasDataset(options);
+  const TrainValTestSplit split = SplitDefault(dataset, 5);
+  const FairnessSpec spec = MakeSpec(
+      GroupByAttributeValues("race", {"African-American", "Caucasian"}), "sp", 0.05);
+  auto trainer = MakeTrainer("lr");
+  auto fair = OmniFair().Train(split.train, split.val, trainer.get(), {spec});
+  ASSERT_TRUE(fair.ok());
+
+  const std::string path = TempPath("fair_model.ofb");
+  ASSERT_TRUE(SaveFairModel(*fair, path).ok());
+  auto loaded = LoadFairModel(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+
+  EXPECT_EQ(loaded->lambdas, fair->lambdas);
+  EXPECT_EQ(loaded->satisfied, fair->satisfied);
+  EXPECT_EQ(loaded->val_accuracy, fair->val_accuracy);
+  // The loaded model scores raw (un-encoded) rows bit-identically.
+  EXPECT_EQ(loaded->PredictProba(split.test), fair->PredictProba(split.test));
+  auto original_audit = Audit(*fair->model, fair->encoder, split.test, {spec});
+  auto loaded_audit = Audit(*loaded->model, loaded->encoder, split.test, {spec});
+  ASSERT_TRUE(original_audit.ok());
+  ASSERT_TRUE(loaded_audit.ok());
+  EXPECT_EQ(original_audit->max_disparity, loaded_audit->max_disparity);
+  // The saved file is the serving artifact as well.
+  auto bundle = ModelBundle::Open(path);
+  ASSERT_TRUE(bundle.ok()) << bundle.status();
+  EXPECT_EQ(bundle->get()->meta().lambdas, fair->lambdas);
+}
+
+TEST(FairModelFileTest, ModelLessSaveRejected) {
+  FairModel empty;
+  const std::string path = TempPath("never.ofb");
+  EXPECT_EQ(SaveFairModel(empty, path).code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(std::ifstream(path).good());
+}
+
+TEST(FairModelFileTest, DamagedOrForeignFilesFailTyped) {
+  const testing_data::Blobs blobs = testing_data::MakeBlobs(80, 1.5, 10);
+  FairModel fair;
+  fair.model = MakeTrainer("xgb")->Fit(blobs.X, blobs.y, blobs.unit_weights);
+  fair.lambdas = {0.125};
+  const std::string path = TempPath("fair_model_damaged.ofb");
+  ASSERT_TRUE(SaveFairModel(fair, path).ok());
+  const std::vector<uint8_t> image = ReadFile(path);
+
+  auto expect_typed = [](const std::string& file, StatusCode code,
+                         const std::string& what) {
+    Result<FairModel> loaded = LoadFairModel(file);
+    ASSERT_FALSE(loaded.ok()) << what;
+    EXPECT_EQ(loaded.status().code(), code) << what << ": " << loaded.status();
+  };
+  const std::string variant = TempPath("fair_model_variant.ofb");
+  WriteFile(variant, std::vector<uint8_t>(image.begin(),
+                                          image.begin() + image.size() / 2));
+  expect_typed(variant, StatusCode::kDataLoss, "truncated");
+  WriteFile(variant, {});
+  expect_typed(variant, StatusCode::kDataLoss, "empty");
+  const std::string garbage = "definitely not a model, but long enough to "
+                              "hold a bundle header";
+  WriteFile(variant, std::vector<uint8_t>(garbage.begin(), garbage.end()));
+  expect_typed(variant, StatusCode::kInvalidArgument, "garbage");
+  // The text format SaveFairModel wrote before it wrote bundles.
+  const std::string text =
+      "omnifair_fairmodel 1\nlambdas 0.125\nsatisfied 1 val_accuracy 0.75\n"
+      "encoder 1\noptions 1 1 0\nplans 0\nfeatures 0\n"
+      "omnifair_model logistic_regression 1\n0\n0.5\n";
+  WriteFile(variant, std::vector<uint8_t>(text.begin(), text.end()));
+  expect_typed(variant, StatusCode::kInvalidArgument, "text FairModel");
+  expect_typed(TempPath("missing.ofb"), StatusCode::kInvalidArgument, "missing");
+}
+
+TEST(FairModelFileTest, AwkwardColumnAndCategoryNamesRoundTrip) {
+  // A quoted CSV cell may hold a newline; names may start with a space. The
+  // encoder spec is length-prefixed, so such names survive every codec that
+  // embeds it: the saved model and the chunked dataset footer.
+  Dataset dataset("awkward");
+  Column color = Column::Categorical(" color\r\nname",
+                                     {"red\nish", " blue", "gr\reen"});
+  Column size = Column::Numeric("\nsize");
+  Rng rng(5);
+  std::vector<int> labels;
+  for (int i = 0; i < 300; ++i) {
+    const int code = static_cast<int>(rng.NextBounded(3));
+    color.AppendCode(code);
+    size.AppendNumeric(rng.NextGaussian() + code);
+    labels.push_back(code == 0 ? 1 : static_cast<int>(rng.NextBounded(2)));
+  }
+  dataset.AddColumn(std::move(color));
+  dataset.AddColumn(std::move(size));
+  dataset.SetLabels(labels);
+
+  FairModel fair;
+  const Matrix X = fair.encoder.FitTransform(dataset);
+  fair.model = MakeTrainer("lr", 3)->Fit(X, labels);
+  const std::string path = TempPath("awkward.ofb");
+  ASSERT_TRUE(SaveFairModel(fair, path).ok());
+  auto loaded = LoadFairModel(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->encoder.feature_names(), fair.encoder.feature_names());
+  EXPECT_EQ(loaded->PredictProba(dataset), fair.PredictProba(dataset));
+
+  const std::string chunked_path = TempPath("awkward.ofcd");
+  auto writer = ChunkedDatasetWriter::Create(
+      chunked_path, static_cast<uint32_t>(fair.encoder.NumFeatures()));
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  DatasetBlock block;
+  block.features = X.ToFloat32();
+  block.labels = labels;
+  block.groups.assign(labels.size(), 0);
+  ASSERT_TRUE(writer->AppendBlock(block).ok());
+  ASSERT_TRUE(writer->Finalize("label", "all", {"all"}, fair.encoder).ok());
+  auto chunked = ChunkedDataset::Open(chunked_path);
+  ASSERT_TRUE(chunked.ok()) << chunked.status();
+  Result<FeatureEncoder> encoder = chunked->LoadEncoder();
+  ASSERT_TRUE(encoder.ok()) << encoder.status();
+  EXPECT_EQ(encoder->feature_names(), fair.encoder.feature_names());
+  EXPECT_EQ(encoder->EncodeSpec(), fair.encoder.EncodeSpec());
+  const Matrix X2 = encoder->Transform(dataset);
+  EXPECT_EQ(X2.data(), X.data());
 }
 
 }  // namespace

@@ -13,8 +13,8 @@
 #include "core/grid_search.h"
 #include "core/lambda_tuner.h"
 #include "core/omnifair.h"
+#include "ml/bundle.h"
 #include "ml/logistic_regression.h"
-#include "ml/serialization.h"
 #include "tests/testing_fairness.h"
 #include "util/fault_injector.h"
 #include "util/snapshot_io.h"
@@ -300,8 +300,11 @@ std::unique_ptr<FairnessProblem> MakeProblem(const Dataset& train,
   return std::move(*problem);
 }
 
+/// The model's bundle image (the codec checkpoint records carry): equal
+/// bytes mean equal parameters, bit for bit.
 std::vector<uint8_t> ModelBytes(const Classifier& model) {
-  Result<std::vector<uint8_t>> bytes = SerializeModelBinary(model);
+  Result<std::vector<uint8_t>> bytes =
+      EncodeBundle(model, FeatureEncoder(), BundleMeta{});
   EXPECT_TRUE(bytes.ok()) << bytes.status();
   return bytes.ok() ? *bytes : std::vector<uint8_t>();
 }
@@ -571,6 +574,38 @@ TEST_F(CheckpointTest, ResumeWithWrongTunerIsRejected) {
   EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(result.status.message().find("lambda_tuner"), std::string::npos)
       << result.status;
+}
+
+TEST_F(CheckpointTest, VersionOneCheckpointIsRejectedBeforeAnyFit) {
+  // Version 1 records held the retired binary model codec; resuming one
+  // must fail typed up front, not replay bytes the decoder cannot read.
+  const std::string path = TempPath("version1.ckpt");
+  Snapshot snapshot;
+  snapshot.version = 1;
+  BinaryWriter meta;
+  meta.String("lambda_tuner");
+  meta.U64(0);
+  snapshot.sections.push_back({"meta", meta.TakeBuffer()});
+  snapshot.sections.push_back({"fits", {}});
+  ASSERT_TRUE(WriteSnapshotFile(path, snapshot).ok());
+
+  CheckpointOptions options;
+  options.resume_from = path;
+  Result<std::unique_ptr<CheckpointManager>> manager =
+      CheckpointManager::Create(options, "lambda_tuner", FeatureEncoder());
+  ASSERT_FALSE(manager.ok());
+  EXPECT_EQ(manager.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(manager.status().message().find("version 1"), std::string::npos)
+      << manager.status();
+
+  const Dataset data = MakeBiasedDataset(300, 0.7, 0.3, 14);
+  LogisticRegressionTrainer trainer;
+  auto problem = MakeProblem(data, data, "sp", 0.05, &trainer);
+  TuneOptions tune;
+  tune.checkpoint.resume_from = path;
+  TuneResult result = LambdaTuner(tune).TuneSingle(*problem);
+  EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(problem->models_trained(), 0);
 }
 
 TEST_F(CheckpointTest, ResumeWithChangedOptionsDivergesTyped) {

@@ -1,7 +1,7 @@
 #include "data/encoder.h"
 
 #include <cmath>
-#include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -80,9 +80,8 @@ TEST(EncoderTest, EncodesCategoriesByNameAcrossDictionaries) {
   // fitted column of its name, also after a save/load round trip.
   FeatureEncoder fitted;
   fitted.Fit(ToyDataset());
-  std::stringstream saved;
-  fitted.SerializeTo(saved);
-  Result<FeatureEncoder> loaded = FeatureEncoder::Deserialize(saved);
+  const std::vector<uint8_t> spec = fitted.EncodeSpec();
+  Result<FeatureEncoder> loaded = FeatureEncoder::DecodeSpec(spec.data(), spec.size());
   ASSERT_TRUE(loaded.ok()) << loaded.status();
 
   Dataset request("request");
@@ -175,13 +174,36 @@ TEST(EncoderTest, Float32OptionDoesNotChangeSerialization) {
   options.float32_features = true;
   FeatureEncoder f32;
   f32.Fit(ToyDataset(), options);
-  std::ostringstream with_flag;
-  f32.SerializeTo(with_flag);
   FeatureEncoder plain;
   plain.Fit(ToyDataset());
-  std::ostringstream without_flag;
-  plain.SerializeTo(without_flag);
-  EXPECT_EQ(with_flag.str(), without_flag.str());
+  EXPECT_EQ(f32.EncodeSpec(), plain.EncodeSpec());
+}
+
+TEST(EncoderTest, SpecRoundTripsExactlyAndFailsTyped) {
+  EncoderOptions options;
+  options.one_hot_categorical = false;
+  for (const EncoderOptions& mode : {EncoderOptions{}, options}) {
+    FeatureEncoder fitted;
+    fitted.Fit(ToyDataset(), mode);
+    const std::vector<uint8_t> spec = fitted.EncodeSpec();
+    Result<FeatureEncoder> loaded =
+        FeatureEncoder::DecodeSpec(spec.data(), spec.size());
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    EXPECT_EQ(loaded->feature_names(), fitted.feature_names());
+    EXPECT_EQ(loaded->EncodeSpec(), spec);
+    // Every strict prefix and a one-byte extension are data loss.
+    for (size_t cut = 0; cut < spec.size(); ++cut) {
+      Result<FeatureEncoder> truncated = FeatureEncoder::DecodeSpec(spec.data(), cut);
+      ASSERT_FALSE(truncated.ok()) << "cut at " << cut;
+      EXPECT_EQ(truncated.status().code(), StatusCode::kDataLoss) << "cut at " << cut;
+    }
+    std::vector<uint8_t> extended = spec;
+    extended.push_back(0);
+    EXPECT_EQ(FeatureEncoder::DecodeSpec(extended.data(), extended.size())
+                  .status()
+                  .code(),
+              StatusCode::kDataLoss);
+  }
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include "data/csv.h"
 #include "data/datasets.h"
 #include "data/split.h"
-#include "ml/serialization.h"
 #include "ml/trainer_registry.h"
 
 namespace omnifair {
@@ -74,7 +73,7 @@ TEST(IntegrationTest, TrainSaveReloadPredictMatches) {
   auto fair = omnifair.Train(split.train, split.val, trainer.get(), {spec});
   ASSERT_TRUE(fair.ok());
 
-  const std::string path = ::testing::TempDir() + "/integration_bundle.txt";
+  const std::string path = ::testing::TempDir() + "/integration_bundle.ofb";
   ASSERT_TRUE(SaveFairModel(*fair, path).ok());
   auto reloaded = LoadFairModel(path);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status();

@@ -45,7 +45,7 @@ void WriteHandChunked(const std::string& path,
     block.groups = hand.groups;
     ASSERT_TRUE(writer->AppendBlock(block).ok());
   }
-  ASSERT_TRUE(writer->Finalize("label", "grp", {"a", "b"}, "").ok());
+  ASSERT_TRUE(writer->Finalize("label", "grp", {"a", "b"}, FeatureEncoder()).ok());
 }
 
 /// The same rows as an in-memory Dataset (for WeightComputer parity).

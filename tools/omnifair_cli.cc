@@ -4,19 +4,20 @@
 //   # Generate a synthetic benchmark dataset as CSV:
 //   omnifair_cli synth --dataset compas --rows 8000 --out compas.csv
 //
-//   # Train under a declarative constraint and save the bundle:
+//   # Train under a declarative constraint and save the model bundle:
 //   omnifair_cli train --data compas.csv --label two_year_recid \
 //       --sensitive race --metric sp --epsilon 0.03 --model lr \
-//       --out fair_model.txt
+//       --out fair.ofb
 //
 //   # Profile a dataset's columns and group base rates:
 //   omnifair_cli profile --data compas.csv --label two_year_recid \
 //       --sensitive race
 //
-//   # Audit a saved bundle on fresh data:
+//   # Audit the saved bundle on fresh data, then score or serve it:
 //   omnifair_cli audit --data holdout.csv --label two_year_recid \
-//       --sensitive race --metric sp --epsilon 0.03 \
-//       --model-file fair_model.txt
+//       --sensitive race --metric sp --epsilon 0.03 --model-file fair.ofb
+//   omnifair_cli predict --data holdout.csv --label two_year_recid \
+//       --bundle fair.ofb --out scores.txt
 //
 // Metrics: sp, mr, fpr, fnr, for, fdr. Models: lr, dt, rf, xgb, nn, nb.
 
@@ -89,7 +90,7 @@ int Usage() {
                "        (mini-batch SGD for lr/nn; batch-size 0 = full batch)\n"
                "        [--stream]   (out-of-core: --data is a .ofcd chunked file,\n"
                "        or a CSV ingested to <data>.ofcd first; lr + sp/mr/fpr/fnr)\n"
-               "        [--positive-label VALUE] [--out model.txt]\n"
+               "        [--positive-label VALUE] [--out model.ofb]\n"
                "        [--checkpoint ckpt.bin] [--checkpoint-interval SECONDS]\n"
                "        [--resume [ckpt.bin]]   (resume a killed tuning run)\n"
                "        [--profile-out profile.json]\n"
@@ -97,12 +98,12 @@ int Usage() {
                "  profile --data data.csv --label COLUMN [--sensitive COLUMN]\n"
                "  audit --data data.csv --label COLUMN --sensitive COLUMN\n"
                "        [--metric sp] [--epsilon 0.05] [--positive-label VALUE]\n"
-               "        --model-file model.txt\n"
-               "  bundle pack model.txt model.ofb\n"
+               "        --model-file model.ofb\n"
+               "  bundle pack model.ofb labeled.ofb   (copy a saved model with\n"
                "        [--metric sp] [--sensitive COLUMN] [--epsilon 0.05]\n"
+               "        the fairness declaration labels stamped into its meta)\n"
                "  bundle inspect model.ofb\n"
-               "  predict --data data.csv --label COLUMN\n"
-               "        (--bundle model.ofb | --model-file model.txt)\n"
+               "  predict --data data.csv --label COLUMN --bundle model.ofb\n"
                "        [--threshold 0.5] [--out scores.txt]\n"
                "  serve --bundle model.ofb --data data.csv --label COLUMN\n"
                "        [--group COLUMN] [--batch 256] [--repeat 1]\n"
@@ -428,7 +429,7 @@ int RunAudit(const Args& args) {
   return audit->satisfied ? 0 : 3;
 }
 
-/// `bundle pack model.txt model.ofb` / `bundle inspect model.ofb`.
+/// `bundle pack model.ofb labeled.ofb` / `bundle inspect model.ofb`.
 int RunBundle(const Args& args) {
   if (args.positional.empty()) return Usage();
   const std::string& sub = args.positional[0];
@@ -478,38 +479,25 @@ int RunBundle(const Args& args) {
   return Usage();
 }
 
-/// Single-encode batch scoring: parse the CSV once, encode once, predict.
-/// (`audit` re-derives groups and constraint metrics; this path is for raw
-/// deployment scoring and takes either artifact format.)
+/// Single-encode batch scoring: parse the CSV once, encode once, predict
+/// with the bundle's flat model. (`audit` re-derives groups and constraint
+/// metrics; this path is for raw deployment scoring.)
 int RunPredict(const Args& args) {
-  if (!args.Has("data") || (!args.Has("bundle") && !args.Has("model-file"))) {
-    return Usage();
-  }
+  if (!args.Has("data") || !args.Has("bundle")) return Usage();
   Result<Dataset> dataset = LoadCsvDataset(args);
   if (!dataset.ok()) {
     std::fprintf(stderr, "error: %s\n", dataset.status().ToString().c_str());
     return 1;
   }
-  const double threshold = args.GetDouble("threshold", 0.5);
-  std::vector<double> scores;
-  if (args.Has("bundle")) {
-    Result<std::shared_ptr<const ModelBundle>> bundle =
-        ModelBundle::Open(args.Get("bundle"));
-    if (!bundle.ok()) {
-      std::fprintf(stderr, "error: %s\n", bundle.status().ToString().c_str());
-      return 1;
-    }
-    const Matrix X = (*bundle)->encoder().Transform(*dataset);
-    scores = (*bundle)->MakeModel()->PredictProba(X);
-  } else {
-    Result<FairModel> fair = LoadFairModel(args.Get("model-file"));
-    if (!fair.ok()) {
-      std::fprintf(stderr, "error: %s\n", fair.status().ToString().c_str());
-      return 1;
-    }
-    const Matrix X = fair->encoder.Transform(*dataset);
-    scores = fair->model->PredictProba(X);
+  Result<std::shared_ptr<const ModelBundle>> bundle =
+      ModelBundle::Open(args.Get("bundle"));
+  if (!bundle.ok()) {
+    std::fprintf(stderr, "error: %s\n", bundle.status().ToString().c_str());
+    return 1;
   }
+  const double threshold = args.GetDouble("threshold", 0.5);
+  const Matrix X = (*bundle)->encoder().Transform(*dataset);
+  const std::vector<double> scores = (*bundle)->MakeModel()->PredictProba(X);
   size_t positives = 0;
   double score_sum = 0.0;
   for (const double s : scores) {
