@@ -9,13 +9,18 @@
 #include "bench/bench_common.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <system_error>
 
 namespace omnifair {
 namespace bench {
 namespace {
 
-void Run(BenchReporter& reporter) {
+/// Returns false when a checkpointed run failed to write its snapshot or
+/// the resume of a finished checkpoint failed: the table would then show
+/// zero bytes and a zero-second resume instead of a measurement.
+bool Run(BenchReporter& reporter) {
   const int seeds = EnvSeeds(3);
   reporter.Config("seeds", seeds);
   reporter.Config("metric", "sp");
@@ -26,8 +31,21 @@ void Run(BenchReporter& reporter) {
               "overhead", "ckpt@5s (s)", "overhead", "resume (s)", "ckpt@0 B",
               "ckpt@5s B");
 
+  // The checkpoint lives beside the JSON, whose directory the reporter only
+  // creates at the end.
+  std::error_code ec;
+  std::filesystem::create_directories(BenchReporter::OutputDirectory(), ec);
+  if (ec) {
+    std::fprintf(stderr, "cannot create %s: %s\n",
+                 BenchReporter::OutputDirectory().c_str(),
+                 ec.message().c_str());
+    return false;
+  }
   const std::string ckpt_path =
       BenchReporter::OutputDirectory() + "/bench_checkpoint.ckpt";
+  const auto* write_failures =
+      MetricsRegistry::Global().GetCounter("checkpoint.write_failures");
+  bool measured = true;
 
   for (const std::string& dataset : {"compas", "adult"}) {
     for (const std::string& trainer_name : {"lr", "dt"}) {
@@ -56,10 +74,18 @@ void Run(BenchReporter& reporter) {
           if (config > 0) options.checkpoint.path = ckpt_path;
           if (config == 2) options.checkpoint.interval_s = 5.0;
           const long long bytes_before = bytes_counter->Value();
+          const long long failures_before = write_failures->Value();
           Stopwatch stopwatch;
           auto fair =
               OmniFair(options).Train(split.train, split.val, trainer.get(), {spec});
           const double elapsed = stopwatch.ElapsedSeconds();
+          if (write_failures->Value() != failures_before) {
+            std::fprintf(stderr,
+                         "%s %s seed %d: checkpoint writes to %s failed\n",
+                         dataset.c_str(), trainer_name.c_str(), s,
+                         ckpt_path.c_str());
+            measured = false;
+          }
           if (!fair.ok()) continue;
           (config == 0 ? plain_seconds
                        : config == 1 ? eager_seconds : throttled_seconds) +=
@@ -80,7 +106,14 @@ void Run(BenchReporter& reporter) {
           Stopwatch stopwatch;
           auto fair =
               OmniFair(options).Train(split.train, split.val, trainer.get(), {spec});
-          if (fair.ok()) resume_seconds += stopwatch.ElapsedSeconds();
+          if (fair.ok()) {
+            resume_seconds += stopwatch.ElapsedSeconds();
+          } else {
+            std::fprintf(stderr, "%s %s seed %d: resume failed: %s\n",
+                         dataset.c_str(), trainer_name.c_str(), s,
+                         fair.status().ToString().c_str());
+            measured = false;
+          }
         }
       }
       const double eager_overhead =
@@ -110,6 +143,7 @@ void Run(BenchReporter& reporter) {
   }
   std::printf("(ckpt@0 snapshots at every fit barrier; production runs use "
               "--checkpoint-interval to throttle)\n");
+  return measured;
 }
 
 }  // namespace
@@ -120,6 +154,7 @@ int main() {
   omnifair::InitTelemetryFromEnv();
   omnifair::bench::BenchReporter reporter(
       "checkpoint", "Checkpoint/resume durability overhead (DESIGN.md §12)");
-  omnifair::bench::Run(reporter);
-  return omnifair::bench::FinishBench(reporter);
+  const bool measured = omnifair::bench::Run(reporter);
+  const int status = omnifair::bench::FinishBench(reporter);
+  return measured ? status : 1;
 }

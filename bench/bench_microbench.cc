@@ -16,6 +16,7 @@
 #include "linalg/simd.h"
 #include "linalg/vector_ops.h"
 #include "ml/binning.h"
+#include "util/snapshot_io.h"
 
 namespace omnifair {
 namespace bench {
@@ -120,6 +121,25 @@ void BM_Sigmoid(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 BENCHMARK(BM_Sigmoid)->Arg(64)->Arg(1024)->Arg(16384);
+
+// The block checksum every OFCD read, bundle load and checkpoint read pays:
+// Crc32 folds with PCLMULQDQ where the CPU has it, and Crc32Table is the
+// slice-by-8 fallback. 64 B is a tail-dominated call, 3 MiB about one
+// 65,536-row adult block.
+template <uint32_t (*Crc)(const uint8_t*, size_t, uint32_t)>
+void BM_Crc32Impl(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<uint8_t> bytes(n);
+  for (size_t i = 0; i < n; ++i) bytes[i] = static_cast<uint8_t>(i * 131 + 7);
+  for (auto _ : state) benchmark::DoNotOptimize(Crc(bytes.data(), n, 0));
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+void BM_Crc32(benchmark::State& state) { BM_Crc32Impl<Crc32>(state); }
+void BM_Crc32Table(benchmark::State& state) {
+  BM_Crc32Impl<internal_crc::Crc32Table>(state);
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(64 << 10)->Arg(3 << 20);
+BENCHMARK(BM_Crc32Table)->Arg(64)->Arg(64 << 10)->Arg(3 << 20);
 
 // The LR/MLP inner product: one dense mat-vec into a reused buffer.
 void BM_MatVec(benchmark::State& state) {

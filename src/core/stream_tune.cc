@@ -231,9 +231,9 @@ class StreamTuner {
   /// Weighted mini-batch SGD over the train blocks: blocks are visited in a
   /// seeded shuffled order per epoch, batches are contiguous rows within a
   /// block, and accumulation is serial — bit-identical at any thread count.
-  /// Each batch runs on the simd kernels: dot_f32 margins, one fused logistic
-  /// loss/residual call, and the residuals scattered by axpy_f32 in row
-  /// order.
+  /// Each batch reads the packed block in place: margins by PackedBlock::Dot,
+  /// one fused logistic loss/residual call, and the residuals scattered by
+  /// PackedBlock::Axpy in row order.
   Result<std::vector<double>> FitSgd(double lambda) {
     const size_t d = num_features_;
     const simd::Kernels& kernels = simd::Active();
@@ -241,6 +241,8 @@ class StreamTuner {
     std::vector<double> grad(d + 1, 0.0);
     std::vector<double> residuals;  // per-batch margins, then residuals
     std::vector<double> row_weights;
+    std::vector<int> labels;
+    PackedBlock block;
     const size_t batch =
         std::max<size_t>(1, std::min<size_t>(options_.batch_size,
                                              std::numeric_limits<size_t>::max()));
@@ -259,30 +261,29 @@ class StreamTuner {
           shuffle_rng.Permutation(train_blocks_.size());
       double epoch_loss = 0.0;
       for (size_t oi = 0; oi < order.size(); ++oi) {
-        const size_t block_index = train_blocks_[order[oi]];
-        Result<DatasetBlock> block = data_.MaterializeBlock(block_index);
-        if (!block.ok()) return block.status();
-        const size_t rows = block->labels.size();
+        Status read = data_.ReadPacked(train_blocks_[order[oi]], &block);
+        if (!read.ok()) return read;
+        const size_t rows = block.rows();
         for (size_t begin = 0; begin < rows; begin += batch) {
           const size_t batch_rows = std::min(rows - begin, batch);
           if (residuals.size() < batch_rows) {
             residuals.resize(batch_rows);
             row_weights.resize(batch_rows);
+            labels.resize(batch_rows);
           }
           for (size_t i = 0; i < batch_rows; ++i) {
-            residuals[i] = kernels.dot_f32(block->features.RowF(begin + i),
-                                           theta.data(), d);
-            row_weights[i] = WeightOf(block->groups[begin + i],
-                                      block->labels[begin + i], lambda);
+            residuals[i] = block.Dot(begin + i, theta.data());
+            labels[i] = block.Label(begin + i);
+            row_weights[i] =
+                WeightOf(block.Group(begin + i), labels[i], lambda);
           }
           const double batch_loss = kernels.logistic_loss_residual(
-              residuals.data(), theta[d], row_weights.data(),
-              block->labels.data() + begin, batch_rows);
+              residuals.data(), theta[d], row_weights.data(), labels.data(),
+              batch_rows);
           std::fill(grad.begin(), grad.end(), 0.0);
           for (size_t i = 0; i < batch_rows; ++i) {
             if (residuals[i] == 0.0) continue;
-            kernels.axpy_f32(residuals[i], block->features.RowF(begin + i),
-                             grad.data(), d);
+            block.Axpy(residuals[i], begin + i, grad.data());
             grad[d] += residuals[i];
           }
           const double inv_rows = 1.0 / static_cast<double>(batch_rows);
@@ -324,23 +325,22 @@ class StreamTuner {
   /// Streams the validation blocks, accumulating per-group confusion counts.
   Result<EvalResult> Evaluate(const std::vector<double>& theta) const {
     const size_t d = num_features_;
-    const simd::Kernels& kernels = simd::Active();
     const size_t num_groups = data_.meta().group_names.size();
     std::vector<ValCounts> counts(num_groups);
     uint64_t total = 0;
     uint64_t correct = 0;
+    PackedBlock block;
     for (size_t block_index : val_blocks_) {
-      Result<DatasetBlock> block = data_.MaterializeBlock(block_index);
-      if (!block.ok()) return block.status();
-      const size_t rows = block->labels.size();
+      Status read = data_.ReadPacked(block_index, &block);
+      if (!read.ok()) return read;
+      const size_t rows = block.rows();
       for (size_t i = 0; i < rows; ++i) {
-        const double z =
-            theta[d] + kernels.dot_f32(block->features.RowF(i), theta.data(), d);
+        const double z = theta[d] + block.Dot(i, theta.data());
         const int pred = z >= 0.0 ? 1 : 0;
-        const int y = block->labels[i];
+        const int y = block.Label(i);
         ++total;
         correct += (pred == y);
-        const int g = block->groups[i];
+        const int g = block.Group(i);
         if (g < 0 || static_cast<size_t>(g) >= num_groups) continue;
         ValCounts& vc = counts[static_cast<size_t>(g)];
         ++vc.total;
@@ -384,18 +384,19 @@ Result<StreamCoefficientTable> BuildStreamCoefficientTable(
   }
   std::vector<GroupCounts> counts(num_groups);
   uint64_t n_train = 0;
+  PackedBlock block;
   for (size_t b = 0; b < data.num_blocks(); ++b) {
     if (IsValidationBlock(b, options)) continue;
-    Result<DatasetBlock> block = data.MaterializeBlock(b);
-    if (!block.ok()) return block.status();
-    const size_t rows = block->labels.size();
+    Status read = data.ReadPacked(b, &block);
+    if (!read.ok()) return read;
+    const size_t rows = block.rows();
     n_train += rows;
     for (size_t i = 0; i < rows; ++i) {
-      const int g = block->groups[i];
+      const int g = block.Group(i);
       if (g < 0 || static_cast<size_t>(g) >= num_groups) continue;
       GroupCounts& gc = counts[static_cast<size_t>(g)];
       ++gc.total;
-      if (block->labels[i] == 0) ++gc.y0; else ++gc.y1;
+      if (block.Label(i) == 0) ++gc.y0; else ++gc.y1;
     }
   }
   StreamCoefficientTable table;

@@ -18,8 +18,10 @@ namespace omnifair {
 // Tunes a single lambda for a logistic-regression model over a chunked
 // dataset, streaming one block at a time: every trainer fit is weighted
 // mini-batch SGD over the train blocks, every candidate is scored by a
-// streamed pass over the validation blocks. Peak resident memory is one
-// decoded block regardless of dataset size.
+// streamed pass over the validation blocks. Every pass reads the packed
+// blocks in place (ChunkedDataset::ReadPacked, CRC-checked on each read)
+// and never densifies them, so peak resident memory is one mapped block
+// regardless of dataset size.
 //
 // Restricted to prediction-independent metrics (SP / MR / FPR / FNR): their
 // Eq. 12 coefficients depend only on (group, label) and per-group label

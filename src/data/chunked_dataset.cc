@@ -540,7 +540,16 @@ Result<ChunkedDataset> ChunkedDataset::Open(const std::string& path) {
   return ChunkedDataset(path, fd, std::move(meta));
 }
 
-Result<DatasetBlock> ChunkedDataset::MaterializeBlock(size_t index) const {
+void PackedBlock::Release() {
+  if (mapped_ != nullptr) ::munmap(mapped_, map_len_);
+  mapped_ = nullptr;
+  map_len_ = 0;
+  rows_ = 0;
+  labels_ = groups_ = floats_ = codes_ = nullptr;
+}
+
+Status ChunkedDataset::ReadPacked(size_t index, PackedBlock* block) const {
+  block->Release();
   if (index >= meta_.blocks.size()) {
     return Status::InvalidArgument("block index " + std::to_string(index) +
                                    " out of range (have " +
@@ -550,8 +559,7 @@ Result<DatasetBlock> ChunkedDataset::MaterializeBlock(size_t index) const {
   const size_t payload_size = static_cast<size_t>(entry.payload_bytes);
 
   // Map a page-aligned window around the payload; fall back to a heap read
-  // when mmap is unavailable. Either way the payload is released before
-  // returning, so resident memory stays bounded by one block.
+  // when mmap is unavailable.
   const long page = ::sysconf(_SC_PAGESIZE);
   const uint64_t page_size = page > 0 ? static_cast<uint64_t>(page) : 4096;
   const uint64_t map_start = entry.offset & ~(page_size - 1);
@@ -560,84 +568,85 @@ Result<DatasetBlock> ChunkedDataset::MaterializeBlock(size_t index) const {
   const uint8_t* payload = nullptr;
   void* mapped = ::mmap(nullptr, map_len, PROT_READ, MAP_PRIVATE, fd_,
                         static_cast<off_t>(map_start));
-  std::vector<uint8_t> heap;
   if (mapped != MAP_FAILED) {
+    block->mapped_ = mapped;
+    block->map_len_ = map_len;
     payload = static_cast<const uint8_t*>(mapped) + map_delta;
   } else {
-    heap.resize(payload_size);
-    Status status = PreadFull(fd_, path_, entry.offset, heap.data(), payload_size);
+    block->heap_.resize(payload_size);
+    Status status =
+        PreadFull(fd_, path_, entry.offset, block->heap_.data(), payload_size);
     if (!status.ok()) return status;
-    payload = heap.data();
-  }
-  auto finish = [&]() {
-    if (mapped != MAP_FAILED) ::munmap(mapped, map_len);
-  };
-
-  if (Crc32(payload, payload_size) != entry.crc32) {
-    finish();
-    return Status::DataLoss("chunked dataset " + path_ + " block " +
-                            std::to_string(index) + " CRC mismatch");
+    payload = block->heap_.data();
   }
 
-  BinaryReader reader(payload, payload_size);
-  uint64_t rows = 0;
-  DatasetBlock block;
-  auto corrupt = [&](const std::string& what) -> Result<DatasetBlock> {
-    finish();
+  auto corrupt = [&](const std::string& what) {
+    block->Release();
     return Status::DataLoss("chunked dataset " + path_ + " block " +
                             std::to_string(index) + ": " + what);
   };
+  if (Crc32(payload, payload_size) != entry.crc32) {
+    return corrupt("CRC mismatch");
+  }
+  BinaryReader reader(payload, payload_size);
+  uint64_t rows = 0;
   if (!reader.U64(&rows)) return corrupt("missing row count");
   if (rows != entry.rows) return corrupt("row count disagrees with the index");
   const size_t n = static_cast<size_t>(rows);
   const size_t floats_per_row = meta_.layout.FloatsPerRow();
   const size_t codes_per_row = meta_.layout.CodesPerRow();
-  const size_t float_bytes = n * floats_per_row * sizeof(float);
-  const size_t code_bytes = n * codes_per_row * sizeof(uint16_t);
-  if (payload_size != 8 + n + 4 * n + float_bytes + code_bytes) {
+  // Per row: label u8, group i32, the floats and the codes. Dividing rather
+  // than multiplying keeps a corrupt row count from overflowing the check.
+  const size_t row_bytes = 1 + sizeof(int32_t) +
+                           floats_per_row * sizeof(float) +
+                           codes_per_row * sizeof(uint16_t);
+  const size_t rows_bytes = payload_size - 8;
+  if (rows_bytes % row_bytes != 0 || rows_bytes / row_bytes != n) {
     return corrupt("payload size disagrees with the schema");
   }
-  block.labels.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    uint8_t label = 0;
-    if (!reader.U8(&label)) return corrupt("truncated labels");
-    block.labels[i] = static_cast<int>(label);
+  block->rows_ = n;
+  block->labels_ = payload + 8;
+  block->groups_ = block->labels_ + n;
+  block->floats_ = block->groups_ + n * sizeof(int32_t);
+  block->codes_ = block->floats_ + n * floats_per_row * sizeof(float);
+
+  block->float_cols_.clear();
+  block->code_cols_.clear();
+  uint32_t col = 0;
+  for (const ChunkedSegment& segment : meta_.layout.segments) {
+    if (segment.kind == SegmentKind::kNumericF32) {
+      for (uint32_t i = 0; i < segment.width; ++i) {
+        block->float_cols_.push_back(col + i);
+      }
+    } else {
+      block->code_cols_.push_back(
+          {col, segment.width, segment.kind == SegmentKind::kOneHotU16});
+    }
+    col += segment.width;
   }
+  return Status::Ok();
+}
+
+Result<DatasetBlock> ChunkedDataset::MaterializeBlock(size_t index) const {
+  PackedBlock packed;
+  Status status = ReadPacked(index, &packed);
+  if (!status.ok()) return status;
+  const size_t n = packed.rows();
+  DatasetBlock block;
+  block.labels.resize(n);
   block.groups.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    int32_t code = 0;
-    if (!reader.I32(&code)) return corrupt("truncated groups");
-    block.groups[i] = static_cast<int>(code);
+    block.labels[i] = packed.Label(i);
+    block.groups[i] = packed.Group(i);
   }
-  // Densify the packed streams back into the float32 matrix: numeric runs
-  // copy verbatim, one-hot codes scatter a single 1.0 (the sentinel leaves
-  // the zero-initialized row untouched), raw codes widen to float.
-  const uint8_t* float_base = payload + 8 + n + 4 * n;
-  const uint8_t* code_base = float_base + float_bytes;
+  // Densify: every stored value lands in its dense column of the
+  // zero-initialized row; the unseen-category sentinel leaves its one-hot
+  // span zero.
   block.features = Matrix::Float32(n, meta_.num_features);
   for (size_t r = 0; r < n; ++r) {
     float* dst = block.features.RowF(r);
-    const uint8_t* float_src = float_base + r * floats_per_row * sizeof(float);
-    const uint8_t* code_src = code_base + r * codes_per_row * sizeof(uint16_t);
-    for (const ChunkedSegment& segment : meta_.layout.segments) {
-      if (segment.kind == SegmentKind::kNumericF32) {
-        std::memcpy(dst, float_src, segment.width * sizeof(float));
-        float_src += segment.width * sizeof(float);
-        dst += segment.width;
-        continue;
-      }
-      uint16_t code = 0;
-      std::memcpy(&code, code_src, sizeof(uint16_t));
-      code_src += sizeof(uint16_t);
-      if (segment.kind == SegmentKind::kOneHotU16) {
-        if (code < segment.width) dst[code] = 1.0f;
-      } else {
-        dst[0] = static_cast<float>(code);
-      }
-      dst += segment.width;
-    }
+    packed.ForEachTerm(r, [dst](size_t col, float x) { dst[col] = x; });
   }
-  finish();
   return block;
 }
 

@@ -2,6 +2,7 @@
 #define OMNIFAIR_DATA_CHUNKED_DATASET_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -32,22 +33,23 @@ namespace omnifair {
 //   | floats f32[rows * floats_per_row] | codes u16[rows * codes_per_row]
 //
 // with the float/code streams row-major in layout-segment order. On the
-// paper's adult schema this is 43 bytes/row instead of 167 — ingest spills
-// (and every λ-tune epoch re-reads) a quarter of the bytes, and
-// MaterializeBlock re-densifies into the float32 matrix bit-identically.
+// paper's adult schema this is 45 bytes/row instead of 161 — ingest spills
+// (and every λ-tune epoch re-reads) about a quarter of the bytes.
 //
 // Each payload carries its own CRC32 in the footer's block index, so a block
-// is verified exactly when it is materialized — opening a file only
-// validates the footer. The footer stores the schema (label/group names,
-// the layout, the serialized FeatureEncoder) plus the block index
+// is verified exactly when it is read — opening a file only validates the
+// footer. The footer stores the schema (label/group names, the layout, the
+// serialized FeatureEncoder) plus the block index
 // {offset, rows, payload_bytes, crc32}.
 //
 // Writes go through the shared WriteFd loop (io.enospc / io.short_write
 // fault sites apply) into a temp file that is fsynced and atomically renamed
 // on Finalize — a crash mid-ingest never leaves a half-written file at the
-// final path. Reads mmap one block at a time (page-aligned window, unmapped
-// after copy), bounding resident memory to one decoded block regardless of
-// file size.
+// final path. Reads map one block at a time (page-aligned window).
+// ReadPacked checks the block and views it in place, packed; the view keeps
+// the mapping until it is refilled, so resident memory is one mapped block
+// regardless of file size. MaterializeBlock is ReadPacked plus a densify into
+// the float32 matrix, bit-identical to the matrix that was packed.
 // ---------------------------------------------------------------------------
 
 /// How one run of adjacent dense feature columns is stored on disk.
@@ -108,6 +110,98 @@ struct CompactBlock {
   std::vector<int32_t> groups;   ///< codes into group_names, length rows
   std::vector<float> floats;     ///< rows * FloatsPerRow(), row-major
   std::vector<uint16_t> codes;   ///< rows * CodesPerRow(), row-major
+};
+
+/// One block viewed in place in its packed on-disk form, filled by
+/// ChunkedDataset::ReadPacked after the block's CRC32, row count and payload
+/// size have been checked. The view keeps the block mapped until it is
+/// refilled or destroyed. Payload offsets carry no alignment guarantee, so
+/// every multi-byte value loads through memcpy.
+///
+/// Dot and Axpy act on the block's dense feature rows without forming them:
+/// a numeric float meets its column's coefficient, a one-hot code meets the
+/// one coefficient of its category (none for the unseen-category sentinel,
+/// nor for any code past the segment, exactly as densifying leaves those
+/// rows all zero), and a raw code multiplies its column's coefficient.
+class PackedBlock {
+ public:
+  PackedBlock() = default;
+  PackedBlock(const PackedBlock&) = delete;
+  PackedBlock& operator=(const PackedBlock&) = delete;
+  ~PackedBlock() { Release(); }
+
+  size_t rows() const { return rows_; }
+  int Label(size_t row) const { return labels_[row]; }
+  int Group(size_t row) const {
+    int32_t group;
+    std::memcpy(&group, groups_ + row * sizeof(int32_t), sizeof(group));
+    return group;
+  }
+
+  /// theta · x for dense feature row `row` (theta has num_features entries).
+  double Dot(size_t row, const double* theta) const {
+    double z = 0.0;
+    ForEachTerm(row, [&](size_t col, float x) {
+      z += static_cast<double>(x) * theta[col];
+    });
+    return z;
+  }
+
+  /// grad[c] += s * x[c] over dense feature row `row`; the mirror of Dot.
+  void Axpy(double s, size_t row, double* grad) const {
+    ForEachTerm(row, [&](size_t col, float x) {
+      grad[col] += s * static_cast<double>(x);
+    });
+  }
+
+ private:
+  friend class ChunkedDataset;
+
+  /// Where one stored code lands among the dense feature columns.
+  struct CodeColumn {
+    uint32_t col = 0;    ///< first dense column of the segment
+    uint32_t width = 0;  ///< one-hot columns (1 for a raw code)
+    bool one_hot = false;
+  };
+
+  /// Calls fn(dense column, value) for each stored value of `row`: every
+  /// float, every raw code, and 1.0 for each one-hot code that names a
+  /// category. Every other dense column of the row is zero. Each value is
+  /// the row's float32 feature exactly (a u16 code is exact in a float).
+  template <typename Fn>
+  void ForEachTerm(size_t row, Fn&& fn) const {
+    const uint8_t* floats = floats_ + row * float_cols_.size() * sizeof(float);
+    for (const uint32_t col : float_cols_) {
+      float value;
+      std::memcpy(&value, floats, sizeof(value));
+      floats += sizeof(value);
+      fn(col, value);
+    }
+    const uint8_t* codes = codes_ + row * code_cols_.size() * sizeof(uint16_t);
+    for (const CodeColumn& column : code_cols_) {
+      uint16_t code;
+      std::memcpy(&code, codes, sizeof(code));
+      codes += sizeof(code);
+      if (!column.one_hot) {
+        fn(column.col, static_cast<float>(code));
+      } else if (code < column.width) {
+        fn(column.col + code, 1.0f);
+      }
+    }
+  }
+
+  void Release();
+
+  void* mapped_ = nullptr;  ///< the block's mapping, if mmap succeeded
+  size_t map_len_ = 0;
+  std::vector<uint8_t> heap_;  ///< read(2) fallback when mmap fails
+  size_t rows_ = 0;
+  const uint8_t* labels_ = nullptr;  ///< u8[rows]
+  const uint8_t* groups_ = nullptr;  ///< i32[rows]
+  const uint8_t* floats_ = nullptr;  ///< f32[rows * float_cols_.size()]
+  const uint8_t* codes_ = nullptr;   ///< u16[rows * code_cols_.size()]
+  std::vector<uint32_t> float_cols_;  ///< dense column of each stored float
+  std::vector<CodeColumn> code_cols_;
 };
 
 /// Location + integrity record of one block inside the file.
@@ -187,7 +281,8 @@ class ChunkedDatasetWriter {
 };
 
 /// Random-access reader. Open validates the trailer + footer CRC only;
-/// MaterializeBlock maps, CRC-checks and decodes one block. Move-only.
+/// ReadPacked maps and checks one block, MaterializeBlock also densifies it.
+/// Move-only.
 class ChunkedDataset {
  public:
   static Result<ChunkedDataset> Open(const std::string& path);
@@ -201,9 +296,13 @@ class ChunkedDataset {
   size_t num_blocks() const { return meta_.blocks.size(); }
   uint64_t total_rows() const { return meta_.total_rows; }
 
-  /// Maps block `index`, verifies its CRC32 and re-densifies the packed
-  /// streams into the float32 feature matrix. The mapping is released before
-  /// returning, so peak extra memory is one block's payload.
+  /// Maps block `index` into `block` (releasing what it held), verifies the
+  /// block's CRC32, row count and payload size, and views the packed streams
+  /// in place. Corruption is kDataLoss and leaves `block` empty.
+  Status ReadPacked(size_t index, PackedBlock* block) const;
+
+  /// ReadPacked plus a densify of the packed streams into the float32
+  /// feature matrix. The mapping is released before returning.
   Result<DatasetBlock> MaterializeBlock(size_t index) const;
 
   /// Deserializes the FeatureEncoder stored in the footer.

@@ -4,6 +4,14 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+// The carry-less-multiply CRC fold sits behind the same arch define and
+// function-multiversioning scheme as the linalg kernels (linalg/simd.cc): no
+// global -mpclmul, baseline code everywhere else, CPU checked at runtime.
+#if defined(OMNIFAIR_SIMD_X86) && (defined(__GNUC__) || defined(__clang__))
+#define OMNIFAIR_HAVE_CRC_PCLMUL 1
+#include <immintrin.h>
+#endif
+
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -46,11 +54,77 @@ const uint32_t (*Crc32Tables())[256] {
   return tables;
 }
 
-}  // namespace
+#if OMNIFAIR_HAVE_CRC_PCLMUL
+#define OMNIFAIR_PCLMUL __attribute__((target("pclmul")))
 
-uint32_t Crc32(const uint8_t* data, size_t size, uint32_t crc) {
+OMNIFAIR_PCLMUL inline __m128i Load128(const uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+/// Carries `x` forward by the distance the constant pair `k` encodes: its
+/// low half times one constant, its high half times the other.
+OMNIFAIR_PCLMUL inline __m128i Fold(__m128i x, __m128i k) {
+  return _mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                       _mm_clmulepi64_si128(x, k, 0x11));
+}
+
+/// Folds `size` bytes (a multiple of 16, at least 64) into the CRC register
+/// `crc` (pre-inverted, as in the table loop) with PCLMULQDQ: four 128-bit
+/// lanes fold 64 bytes per step, then fold into one lane, then a Barrett
+/// reduction to 32 bits. The constants are x^k mod P for the bit-reflected
+/// polynomial, from Intel's "Fast CRC Computation for Generic Polynomials
+/// Using PCLMULQDQ Instruction" (2009), as in Linux's crc32-pclmul.
+OMNIFAIR_PCLMUL uint32_t Crc32FoldPclmul(const uint8_t* data, size_t size,
+                                         uint32_t crc) {
+  // Fold distances: 512 bits (k1, k2), 128 bits (k3, k4), 64 -> 32 bits
+  // (k5); then the Barrett pair P' and mu.
+  const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x163cd6124);
+  const __m128i poly_mu = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+  const __m128i mask32 = _mm_set_epi32(0, 0, 0, -1);
+
+  __m128i x1 =
+      _mm_xor_si128(Load128(data), _mm_cvtsi32_si128(static_cast<int>(crc)));
+  __m128i x2 = Load128(data + 16);
+  __m128i x3 = Load128(data + 32);
+  __m128i x4 = Load128(data + 48);
+  data += 64;
+  size -= 64;
+  for (; size >= 64; data += 64, size -= 64) {
+    x1 = _mm_xor_si128(Fold(x1, k1k2), Load128(data));
+    x2 = _mm_xor_si128(Fold(x2, k1k2), Load128(data + 16));
+    x3 = _mm_xor_si128(Fold(x3, k1k2), Load128(data + 32));
+    x4 = _mm_xor_si128(Fold(x4, k1k2), Load128(data + 48));
+  }
+  x1 = _mm_xor_si128(Fold(x1, k3k4), x2);
+  x1 = _mm_xor_si128(Fold(x1, k3k4), x3);
+  x1 = _mm_xor_si128(Fold(x1, k3k4), x4);
+  for (; size >= 16; data += 16, size -= 16) {
+    x1 = _mm_xor_si128(Fold(x1, k3k4), Load128(data));
+  }
+  // 128 -> 64 bits (also appends the 32 zero bits the CRC definition needs).
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8),
+                     _mm_clmulepi64_si128(x1, k3k4, 0x10));
+  // 64 -> 32 bits.
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 4),
+                     _mm_clmulepi64_si128(_mm_and_si128(x1, mask32), k5, 0x00));
+  // Barrett reduction: the remainder lands in the second 32-bit lane.
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x1, mask32), poly_mu, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, mask32), poly_mu, 0x00);
+  x1 = _mm_xor_si128(x1, t);
+  return static_cast<uint32_t>(_mm_cvtsi128_si32(_mm_srli_si128(x1, 4)));
+}
+
+bool HavePclmul() {
+  static const bool have = __builtin_cpu_supports("pclmul");
+  return have;
+}
+#endif
+
+/// The slice-by-8 loop over the CRC register (already inverted).
+uint32_t Crc32TableRegister(const uint8_t* data, size_t size, uint32_t crc) {
   const uint32_t(*t)[256] = Crc32Tables();
-  crc = ~crc;
 #if !defined(__BYTE_ORDER__) || __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
   while (size >= 8) {
     uint32_t lo;
@@ -68,7 +142,30 @@ uint32_t Crc32(const uint8_t* data, size_t size, uint32_t crc) {
   for (size_t i = 0; i < size; ++i) {
     crc = t[0][(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
   }
-  return ~crc;
+  return crc;
+}
+
+}  // namespace
+
+namespace internal_crc {
+
+uint32_t Crc32Table(const uint8_t* data, size_t size, uint32_t crc) {
+  return ~Crc32TableRegister(data, size, ~crc);
+}
+
+}  // namespace internal_crc
+
+uint32_t Crc32(const uint8_t* data, size_t size, uint32_t crc) {
+  crc = ~crc;
+#if OMNIFAIR_HAVE_CRC_PCLMUL
+  if (size >= 64 && HavePclmul()) {
+    const size_t bulk = size & ~size_t{15};
+    crc = Crc32FoldPclmul(data, bulk, crc);
+    data += bulk;
+    size -= bulk;
+  }
+#endif
+  return ~Crc32TableRegister(data, size, crc);
 }
 
 // --- BinaryWriter -----------------------------------------------------------

@@ -30,7 +30,16 @@ namespace omnifair {
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `size` bytes,
 /// seedable for incremental use: pass the previous return value as `crc`.
+/// On x86 CPUs with PCLMULQDQ the bulk of the input folds by carry-less
+/// multiplication, the tail under 16 bytes by the slice-by-8 tables; other
+/// CPUs run the tables throughout. Both return the same values.
 uint32_t Crc32(const uint8_t* data, size_t size, uint32_t crc = 0);
+
+namespace internal_crc {
+/// The slice-by-8 table CRC alone, whatever the CPU: the reference the
+/// folded path is tested against.
+uint32_t Crc32Table(const uint8_t* data, size_t size, uint32_t crc = 0);
+}  // namespace internal_crc
 
 /// Appends primitives to a growable little-endian byte buffer.
 class BinaryWriter {

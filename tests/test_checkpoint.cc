@@ -7,6 +7,8 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 #include "ml/logistic_regression.h"
 #include "tests/testing_fairness.h"
 #include "util/fault_injector.h"
+#include "util/random.h"
 #include "util/snapshot_io.h"
 #include "util/telemetry.h"
 #include "util/train_budget.h"
@@ -53,6 +56,59 @@ TEST_F(CheckpointTest, Crc32MatchesKnownVector) {
   // Incremental use over two chunks matches the one-shot value.
   const uint32_t partial = Crc32(data, 4);
   EXPECT_EQ(Crc32(data + 4, 5, partial), 0xCBF43926u);
+}
+
+/// `size` bytes from a seeded Rng.
+std::vector<uint8_t> RandomBytes(size_t size, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> bytes(size);
+  for (uint8_t& byte : bytes) byte = static_cast<uint8_t>(rng.NextUint64());
+  return bytes;
+}
+
+TEST_F(CheckpointTest, Crc32FoldMatchesTableAtEveryLengthAndOffset) {
+  // Crc32 folds the bulk of its input by carry-less multiplication where the
+  // CPU has it; the slice-by-8 table is the reference. Lengths cross every
+  // fold boundary (16, 64 bytes) at every alignment, from several seeds.
+  const std::vector<uint8_t> bytes = RandomBytes(1024 + 16, 7);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t length = 0; length <= 1024; ++length) {
+      const uint8_t* data = bytes.data() + offset;
+      const uint32_t seed = static_cast<uint32_t>(length * 2654435761u);
+      ASSERT_EQ(Crc32(data, length), internal_crc::Crc32Table(data, length))
+          << "offset " << offset << " length " << length;
+      ASSERT_EQ(Crc32(data, length, seed),
+                internal_crc::Crc32Table(data, length, seed))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST_F(CheckpointTest, Crc32FoldMatchesTableOnMegabyteBuffers) {
+  for (const size_t size : {size_t{1} << 20, (size_t{3} << 20) + 13,
+                            (size_t{5} << 20) + 7}) {
+    const std::vector<uint8_t> bytes = RandomBytes(size, size);
+    EXPECT_EQ(Crc32(bytes.data(), bytes.size()),
+              internal_crc::Crc32Table(bytes.data(), bytes.size()))
+        << size << " bytes";
+  }
+}
+
+TEST_F(CheckpointTest, Crc32ChainsThroughTheSeedAtAnySplit) {
+  const std::vector<uint8_t> bytes = RandomBytes(70000, 11);
+  const uint32_t whole = internal_crc::Crc32Table(bytes.data(), bytes.size());
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size()), whole);
+  Rng rng(12);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Two random cut points; the three pieces are chained through `crc`.
+    size_t a = rng.NextBounded(bytes.size() + 1);
+    size_t b = rng.NextBounded(bytes.size() + 1);
+    if (a > b) std::swap(a, b);
+    uint32_t crc = Crc32(bytes.data(), a);
+    crc = Crc32(bytes.data() + a, b - a, crc);
+    crc = Crc32(bytes.data() + b, bytes.size() - b, crc);
+    ASSERT_EQ(crc, whole) << "cuts at " << a << " and " << b;
+  }
 }
 
 TEST_F(CheckpointTest, CodecRoundTripsEveryType) {

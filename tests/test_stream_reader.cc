@@ -485,6 +485,26 @@ TEST_F(StreamIngestFaultTest, CorruptedBlockFailsCrcOnMaterialize) {
   EXPECT_EQ(block.status().code(), StatusCode::kDataLoss);
 }
 
+TEST_F(StreamIngestFaultTest, CorruptedBlockFailsCrcOnReadPacked) {
+  const std::string csv = TempPath("ingest_corrupt_packed.csv");
+  const std::string out = TempPath("ingest_corrupt_packed.ofcd");
+  WriteFile(csv, BasicCsv());
+  ASSERT_TRUE(StreamCsvToChunked(csv, out, BasicIngestOptions()).ok());
+
+  std::string bytes = ReadFile(out);
+  ASSERT_GT(bytes.size(), 32u);
+  bytes[20] ^= 0x01;
+  WriteFile(out, bytes);
+
+  Result<ChunkedDataset> chunked = ChunkedDataset::Open(out);
+  ASSERT_TRUE(chunked.ok()) << chunked.status();
+  PackedBlock block;
+  const Status status = chunked->ReadPacked(0, &block);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(block.rows(), 0u);  // a failed read leaves the view empty
+}
+
 TEST_F(StreamIngestFaultTest, TruncatedFileFailsOpen) {
   const std::string csv = TempPath("ingest_trunc.csv");
   const std::string out = TempPath("ingest_trunc.ofcd");
