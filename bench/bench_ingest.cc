@@ -12,7 +12,9 @@
 //                       spilled blocks) vs. the in-memory full-batch tuner.
 //
 // Both sections report peak RSS so the out-of-core memory claim is visible
-// in the JSON trail.
+// in the JSON trail. Each tune runs in a process of its own (this program
+// re-executed as `bench_ingest --tune full` or `--tune mini OFCD`), so its
+// peak is its own high-water mark and not the one the ingest left behind.
 //
 // Knobs: OMNIFAIR_BENCH_ROWS (dataset size, default 200000).
 
@@ -21,6 +23,8 @@
 #include <sys/resource.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <string>
 
@@ -45,6 +49,87 @@ std::string ScratchPath(const std::string& name) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   return (dir / name).string();
+}
+
+/// What one tune process reports on its single stdout line.
+struct TuneOutcome {
+  double seconds = 0.0;
+  double accuracy = 0.0;
+  bool satisfied = false;
+  int models = 0;
+  double peak_rss_mb = 0.0;
+};
+
+/// Runs one tune in this process and prints its TuneOutcome line: "full" is
+/// the in-memory Algorithm 1 with the default LR trainer on the paper's
+/// 60/20/20 split of the same synthetic adult data, "mini" the streamed
+/// mini-batch tune over the chunked file at `ofcd_path`.
+int RunTuneChild(const std::string& kind, const std::string& ofcd_path) {
+  const FairnessSpec spec =
+      MakeSpec(MainGroups("adult"), MetricKind::kStatisticalParity, 0.03);
+  TuneOutcome outcome;
+  if (kind == "full") {
+    const Dataset dataset = MakeBenchDataset("adult", /*seed=*/42);
+    const TrainValTestSplit split = SplitDefault(dataset, /*seed=*/42);
+    Stopwatch watch;
+    auto trainer = MakeTrainer("lr", /*seed=*/42);
+    OmniFairOptions options;
+    options.warm_start = false;
+    Result<FairModel> full =
+        OmniFair(options).Train(split.train, split.val, trainer.get(), {spec});
+    OF_CHECK(full.ok()) << full.status();
+    outcome.seconds = watch.ElapsedSeconds();
+    outcome.accuracy = full->val_accuracy;
+    outcome.satisfied = full->satisfied;
+    outcome.models = full->models_trained;
+  } else {
+    OF_CHECK(kind == "mini") << "unknown tune kind " << kind;
+    Result<ChunkedDataset> chunked = ChunkedDataset::Open(ofcd_path);
+    OF_CHECK(chunked.ok()) << chunked.status();
+    StreamTuneOptions tune;
+    tune.metric = MetricKind::kStatisticalParity;
+    tune.epsilon = 0.03;
+    tune.batch_size = 4096;
+    tune.epochs = 3;
+    tune.lr_schedule = LrSchedule::kInvSqrt;
+    Stopwatch watch;
+    Result<StreamTuneResult> mini = StreamTuneLambda(*chunked, tune);
+    OF_CHECK(mini.ok()) << mini.status();
+    outcome.seconds = watch.ElapsedSeconds();
+    outcome.accuracy = mini->val_accuracy;
+    outcome.satisfied = mini->satisfied;
+    outcome.models = mini->models_trained;
+  }
+  std::printf("tune %.17g %.17g %d %d %.17g\n", outcome.seconds,
+              outcome.accuracy, outcome.satisfied ? 1 : 0, outcome.models,
+              PeakRssMb());
+  return 0;
+}
+
+/// Re-executes this program as a tune child (no fork of this multithreaded
+/// process: popen runs a shell that execs a fresh image) and parses its line.
+TuneOutcome RunTuneProcess(const std::string& kind,
+                           const std::string& ofcd_path) {
+  const std::string self =
+      std::filesystem::read_symlink("/proc/self/exe").string();
+  std::string command = "'" + self + "' --tune " + kind;
+  if (!ofcd_path.empty()) command += " '" + ofcd_path + "'";
+  std::fflush(stdout);
+  FILE* pipe = popen(command.c_str(), "r");
+  OF_CHECK(pipe != nullptr) << "cannot run " << command;
+  TuneOutcome outcome;
+  int satisfied = 0;
+  char line[512];
+  bool parsed = false;
+  while (std::fgets(line, sizeof(line), pipe) != nullptr) {
+    parsed = parsed ||
+             std::sscanf(line, "tune %lf %lf %d %d %lf", &outcome.seconds,
+                         &outcome.accuracy, &satisfied, &outcome.models,
+                         &outcome.peak_rss_mb) == 5;
+  }
+  OF_CHECK(pclose(pipe) == 0 && parsed) << command << " failed";
+  outcome.satisfied = satisfied != 0;
+  return outcome;
 }
 
 void Run(BenchReporter& reporter) {
@@ -120,60 +205,35 @@ void Run(BenchReporter& reporter) {
 
   PrintHeader("lambda tune: full-batch (in-memory) vs mini-batch (streamed)");
 
-  const FairnessSpec spec =
-      MakeSpec(MainGroups("adult"), MetricKind::kStatisticalParity, 0.03);
-
-  // Full-batch reference: the in-memory Algorithm 1 with the default LR
-  // trainer on the paper's 60/20/20 split.
-  const TrainValTestSplit split = SplitDefault(dataset, /*seed=*/42);
-  Stopwatch full_watch;
-  auto trainer = MakeTrainer("lr", /*seed=*/42);
-  OmniFairOptions options;
-  options.warm_start = false;
-  OmniFair omnifair(options);
-  Result<FairModel> full =
-      omnifair.Train(split.train, split.val, trainer.get(), {spec});
-  OF_CHECK(full.ok()) << full.status();
-  const double full_seconds = full_watch.ElapsedSeconds();
-
-  // Streamed mini-batch tune over the spilled chunked dataset.
-  Result<ChunkedDataset> chunked = ChunkedDataset::Open(ofcd_path);
-  OF_CHECK(chunked.ok()) << chunked.status();
-  StreamTuneOptions tune;
-  tune.metric = MetricKind::kStatisticalParity;
-  tune.epsilon = 0.03;
-  tune.batch_size = 4096;
-  tune.epochs = 3;
-  tune.lr_schedule = LrSchedule::kInvSqrt;
-  Stopwatch mini_watch;
-  Result<StreamTuneResult> mini = StreamTuneLambda(*chunked, tune);
-  OF_CHECK(mini.ok()) << mini.status();
-  const double mini_seconds = mini_watch.ElapsedSeconds();
+  const TuneOutcome full = RunTuneProcess("full", "");
+  const TuneOutcome mini = RunTuneProcess("mini", ofcd_path);
 
   const double tune_speedup =
-      mini_seconds > 0.0 ? full_seconds / mini_seconds : 0.0;
-  std::printf("%-22s %10.3fs  acc %.4f  satisfied %s  (%d fits)\n",
-              "full-batch (memory)", full_seconds, full->val_accuracy,
-              full->satisfied ? "yes" : "no", full->models_trained);
-  std::printf("%-22s %10.3fs  acc %.4f  satisfied %s  (%d fits)\n",
-              "mini-batch (streamed)", mini_seconds, mini->val_accuracy,
-              mini->satisfied ? "yes" : "no", mini->models_trained);
-  std::printf("tune speedup: %.2fx, peak rss: %.1f MiB\n", tune_speedup,
-              PeakRssMb());
+      mini.seconds > 0.0 ? full.seconds / mini.seconds : 0.0;
+  for (const auto& [name, tune] :
+       {std::pair{"full-batch (memory)", full},
+        std::pair{"mini-batch (streamed)", mini}}) {
+    std::printf("%-22s %10.3fs  acc %.4f  satisfied %s  (%d fits)  "
+                "peak rss %.1f MiB\n",
+                name, tune.seconds, tune.accuracy,
+                tune.satisfied ? "yes" : "no", tune.models, tune.peak_rss_mb);
+  }
+  std::printf("tune speedup: %.2fx\n", tune_speedup);
 
   reporter.AddRow("lambda_tune")
       .Label("dataset", "adult")
       .Label("metric", "sp")
       .Value("rows", static_cast<double>(rows))
-      .Value("full_batch_seconds", full_seconds)
-      .Value("minibatch_seconds", mini_seconds)
+      .Value("full_batch_seconds", full.seconds)
+      .Value("minibatch_seconds", mini.seconds)
       .Value("speedup", tune_speedup)
-      .Value("full_batch_accuracy", full->val_accuracy)
-      .Value("minibatch_accuracy", mini->val_accuracy)
-      .Value("full_batch_satisfied", full->satisfied ? 1.0 : 0.0)
-      .Value("minibatch_satisfied", mini->satisfied ? 1.0 : 0.0)
-      .Value("minibatch_models", mini->models_trained)
-      .Value("peak_rss_mb", PeakRssMb());
+      .Value("full_batch_accuracy", full.accuracy)
+      .Value("minibatch_accuracy", mini.accuracy)
+      .Value("full_batch_satisfied", full.satisfied ? 1.0 : 0.0)
+      .Value("minibatch_satisfied", mini.satisfied ? 1.0 : 0.0)
+      .Value("minibatch_models", mini.models)
+      .Value("full_batch_peak_rss_mb", full.peak_rss_mb)
+      .Value("minibatch_peak_rss_mb", mini.peak_rss_mb);
 
   // The scratch CSV can be large (100+ MiB at 1M rows); clean it up but keep
   // the chunked file, which later runs can reuse via omnifair_cli --stream.
@@ -185,7 +245,10 @@ void Run(BenchReporter& reporter) {
 }  // namespace bench
 }  // namespace omnifair
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc >= 3 && std::strcmp(argv[1], "--tune") == 0) {
+    return omnifair::bench::RunTuneChild(argv[2], argc >= 4 ? argv[3] : "");
+  }
   omnifair::InitTelemetryFromEnv();
   omnifair::bench::BenchReporter reporter(
       "ingest", "Out-of-core streaming ingest and mini-batch lambda tuning");

@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks for the kernels every experiment leans
-// on: example-weight computation (Eq. 12), fairness-part evaluation, and
-// one Fit per model family. These quantify the claim that OmniFair's
+// on: example-weight computation (Eq. 12), fairness-part evaluation, one
+// Fit per model family, and tree-family predict. These quantify the claim that OmniFair's
 // per-lambda overhead is dominated by the black-box Fit itself — the
 // declarative layer adds microseconds.
 
@@ -8,6 +8,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -16,6 +19,10 @@
 #include "linalg/simd.h"
 #include "linalg/vector_ops.h"
 #include "ml/binning.h"
+#include "ml/bundle.h"
+#include "ml/decision_tree.h"
+#include "ml/gbdt.h"
+#include "ml/random_forest.h"
 #include "util/snapshot_io.h"
 
 namespace omnifair {
@@ -254,6 +261,85 @@ void BM_AuditModel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AuditModel);
+
+/// One fitted tree-family model per (family, depth), shared by every
+/// BM_TreePredict case, plus the model ModelBundle::MakeModel builds over its
+/// bundle image.
+struct TreePredictFixture {
+  Matrix X;
+  std::unique_ptr<Classifier> trained;
+  std::unique_ptr<Classifier> from_bundle;
+
+  static const TreePredictFixture& Get(int family, int depth) {
+    static std::map<std::pair<int, int>, std::unique_ptr<TreePredictFixture>>
+        cache;
+    std::unique_ptr<TreePredictFixture>& slot = cache[{family, depth}];
+    if (slot == nullptr) slot = std::make_unique<TreePredictFixture>(family, depth);
+    return *slot;
+  }
+
+  TreePredictFixture(int family, int depth) {
+    SyntheticOptions options;
+    options.num_rows = 11001;
+    options.seed = 3;
+    const Dataset data = MakeCompasDataset(options);
+    FeatureEncoder encoder;
+    X = encoder.FitTransform(data);
+    const std::vector<double> weights(X.rows(), 1.0);
+    if (family == 0) {
+      DecisionTreeOptions dt;
+      dt.max_depth = depth;
+      trained = DecisionTreeTrainer(dt).Fit(X, data.labels(), weights);
+    } else if (family == 1) {
+      RandomForestOptions rf;
+      rf.num_trees = 20;
+      rf.max_depth = depth;
+      rf.split_method = SplitMethod::kHistogram;
+      trained = RandomForestTrainer(rf).Fit(X, data.labels(), weights);
+    } else {
+      GbdtOptions gbdt;
+      gbdt.num_rounds = 40;
+      gbdt.max_depth = depth;
+      gbdt.split_method = SplitMethod::kHistogram;
+      trained = GbdtTrainer(gbdt).Fit(X, data.labels(), weights);
+    }
+    Result<std::vector<uint8_t>> image = EncodeBundle(*trained, encoder, BundleMeta{});
+    OF_CHECK(image.ok()) << image.status();
+    Result<std::shared_ptr<const ModelBundle>> bundle =
+        ModelBundle::Open(std::move(*image));
+    OF_CHECK(bundle.ok()) << bundle.status();
+    from_bundle = (*bundle)->MakeModel();
+  }
+};
+
+// Single-threaded tree-family predict over 11,001 synthetic COMPAS rows:
+// family 0/1/2 = decision tree, random forest (20 trees), GBDT (40 rounds),
+// at max depth 3, 8 and 16, scoring batches of 1 or 256 rows, on the trained
+// model (bundle = 0) or the model MakeModel builds over its bundle image
+// (bundle = 1). Ungated: it measures, it does not check.
+void BM_TreePredict(benchmark::State& state) {
+  const TreePredictFixture& fx = TreePredictFixture::Get(
+      static_cast<int>(state.range(0)), static_cast<int>(state.range(1)));
+  const size_t batch = static_cast<size_t>(state.range(2));
+  const Classifier& model = state.range(3) == 1 ? *fx.from_bundle : *fx.trained;
+  // Every row once per pass, so no short cycle of rows lets the branch
+  // predictor learn the paths.
+  std::vector<Matrix> batches;
+  for (size_t begin = 0; begin + batch <= fx.X.rows(); begin += batch) {
+    std::vector<size_t> rows(batch);
+    for (size_t j = 0; j < batch; ++j) rows[j] = begin + j;
+    batches.push_back(fx.X.SelectRows(rows));
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.PredictProba(batches[next]));
+    next = next + 1 == batches.size() ? 0 : next + 1;
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
+}
+BENCHMARK(BM_TreePredict)
+    ->ArgNames({"family", "depth", "batch", "bundle"})
+    ->ArgsProduct({{0, 1, 2}, {3, 8, 16}, {1, 256}, {0, 1}});
 
 /// Console output as usual, plus one BenchReporter row per benchmark so the
 /// microbench participates in the machine-readable bench/out/ corpus.

@@ -1,10 +1,9 @@
 // Serving-path benchmark (DESIGN.md §15). Three sections:
 //
-//   bundle_load    - cold-load a 200-tree random forest bundle three ways
-//                    (min-of-3 each): mmap Open + flat model (serving), the
-//                    owned-buffer Open + flat model (no-mmap fallback), and
-//                    Open + DecodeModel to the trainer's own classes
-//                    (LoadFairModel and checkpoint replay).
+//   bundle_load    - cold-load a 200-tree random forest bundle two ways
+//                    (min-of-3 each): mmap Open + MakeModel (serving) and
+//                    owned-buffer Open + MakeModel (LoadFairModel, which
+//                    keeps no mapping of its file).
 //   serving_closed - closed-loop BundleServer::Handle per model family at
 //                    several batch sizes; reports QPS and p50/p99 latency
 //                    from locally timed requests.
@@ -86,10 +85,9 @@ double QuantileUs(std::vector<double>& latencies_us, double q) {
 }
 
 /// Cold-load comparison: the same 200-tree forest bundle opened through
-/// the mmap path, the owned-buffer path, and decoded to pointer models. Each
-/// path is timed min-of-3 (min, not mean: the fastest run has the least
-/// scheduler noise and every path sees a warm page cache, so the comparison
-/// is load cost only).
+/// the mmap path and the owned-buffer path. Each path is timed min-of-3
+/// (min, not mean: the fastest run has the least scheduler noise and every
+/// path sees a warm page cache, so the comparison is load cost only).
 void RunBundleLoad(BenchReporter& reporter, const Dataset& data) {
   RandomForestOptions options;
   options.num_trees = 200;
@@ -111,41 +109,33 @@ void RunBundleLoad(BenchReporter& reporter, const Dataset& data) {
   owned.allow_mmap = false;
   double mmap_seconds = 1e30;
   double owned_seconds = 1e30;
-  double decode_seconds = 1e30;
   for (int run = 0; run < 3; ++run) {
     Stopwatch watch;
     auto mapped = ModelBundle::Open(bundle_path);
     OF_CHECK(mapped.ok());
-    auto flat = (*mapped)->MakeModel();
+    auto mapped_model = (*mapped)->MakeModel();
     mmap_seconds = std::min(mmap_seconds, watch.ElapsedSeconds());
 
     watch.Restart();
     auto buffered = ModelBundle::Open(bundle_path, owned);
     OF_CHECK(buffered.ok());
-    auto buffered_flat = (*buffered)->MakeModel();
+    auto buffered_model = (*buffered)->MakeModel();
     owned_seconds = std::min(owned_seconds, watch.ElapsedSeconds());
-
-    watch.Restart();
-    auto decoded_bundle = ModelBundle::Open(bundle_path);
-    OF_CHECK(decoded_bundle.ok());
-    auto decoded = (*decoded_bundle)->DecodeModel();
-    decode_seconds = std::min(decode_seconds, watch.ElapsedSeconds());
   }
   const auto bundle_bytes =
       static_cast<double>(std::filesystem::file_size(bundle_path));
 
-  PrintHeader("Cold load: 200-tree RF bundle, mmap vs owned buffer vs decode");
-  std::printf("%-12s %12s %12s %12s %12s\n", "model", "mmap (s)", "owned (s)",
-              "decode (s)", "bundle B");
-  std::printf("%-12s %12.6f %12.6f %12.6f %12.0f\n", "rf200", mmap_seconds,
-              owned_seconds, decode_seconds, bundle_bytes);
+  PrintHeader("Cold load: 200-tree RF bundle, mmap vs owned buffer");
+  std::printf("%-12s %12s %12s %12s\n", "model", "mmap (s)", "owned (s)",
+              "bundle B");
+  std::printf("%-12s %12.6f %12.6f %12.0f\n", "rf200", mmap_seconds,
+              owned_seconds, bundle_bytes);
 
   reporter.AddRow("bundle_load")
       .Label("model", "rf200")
       .Value("fit_seconds", fit_seconds)
       .Value("bundle_load_seconds", mmap_seconds)
       .Value("owned_load_seconds", owned_seconds)
-      .Value("decode_load_seconds", decode_seconds)
       .Value("bundle_bytes", bundle_bytes);
 }
 

@@ -22,7 +22,8 @@ class FeatureEncoder;
 // The checkpoint is a replay log: the ordered sequence of every trainer fit a
 // tuning search issued, each with its Lambda vector, outcome, completion time
 // and the fitted model as a bundle image (ml/bundle.h) packed with the
-// problem's encoder, decoded on replay to the trainer's own model class.
+// problem's encoder, which replay turns back into the trainer's own model
+// class with ModelBundle::MakeModel.
 // Because every built-in trainer is deterministic given (X, y, weights, seed)
 // and the tuners' control flow is a pure function of past fit outcomes,
 // re-running a tuner while FitWithLambdas returns the logged models instead

@@ -172,10 +172,15 @@ Status SaveFairModel(const FairModel& fair, const std::string& path) {
 }
 
 Result<FairModel> LoadFairModel(const std::string& path) {
-  Result<std::shared_ptr<const ModelBundle>> bundle = ModelBundle::Open(path);
+  // An owned buffer, not a mapping: the loaded model must not depend on the
+  // file, which may be rewritten or truncated in place after the load.
+  ModelBundle::OpenOptions options;
+  options.allow_mmap = false;
+  Result<std::shared_ptr<const ModelBundle>> bundle =
+      ModelBundle::Open(path, options);
   if (!bundle.ok()) return bundle.status();
   FairModel fair;
-  fair.model = (*bundle)->DecodeModel();
+  fair.model = (*bundle)->MakeModel();
   fair.encoder = (*bundle)->encoder();
   fair.lambdas = (*bundle)->meta().lambdas;
   fair.satisfied = (*bundle)->meta().satisfied;

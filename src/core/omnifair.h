@@ -176,9 +176,10 @@ Result<AuditReport> Audit(const Classifier& model, const FeatureEncoder& encoder
 /// ensembles).
 Status SaveFairModel(const FairModel& fair, const std::string& path);
 
-/// Loads a FairModel written by SaveFairModel, with the model decoded to its
-/// trainer's class (ModelBundle::DecodeModel). Damaged or foreign files fail
-/// typed like ModelBundle::Open. Specs are not persisted (grouping functions
+/// Loads a FairModel written by SaveFairModel. The model is its trainer's
+/// class (ModelBundle::MakeModel) over a copy of the file read into memory,
+/// so it does not depend on the file after the load. Damaged or foreign
+/// files fail typed like ModelBundle::Open. Specs are not persisted (grouping functions
 /// are arbitrary callables); re-declare them when auditing the loaded model.
 Result<FairModel> LoadFairModel(const std::string& path);
 

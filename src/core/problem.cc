@@ -126,7 +126,7 @@ FairnessProblem::ParallelFitOutcome FairnessProblem::ReplayFitOn(
       outcome.seconds = TuneElapsedSeconds();
       return outcome;
     }
-    outcome.model = (*bundle)->DecodeModel();
+    outcome.model = (*bundle)->MakeModel();
   } else {
     outcome.status = Status(static_cast<StatusCode>(record.status_code),
                             record.status_message);

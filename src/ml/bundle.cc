@@ -7,9 +7,8 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <type_traits>
 
-#include "linalg/simd.h"
-#include "linalg/vector_ops.h"
 #include "ml/decision_tree.h"
 #include "ml/gbdt.h"
 #include "ml/logistic_regression.h"
@@ -19,7 +18,6 @@
 #include "util/fault_injector.h"
 #include "util/logging.h"
 #include "util/snapshot_io.h"
-#include "util/thread_pool.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define OMNIFAIR_BUNDLE_HAVE_MMAP 1
@@ -38,9 +36,6 @@ namespace {
 // boundary after a short table.
 constexpr uint64_t kHeaderBytes = 32;
 constexpr uint64_t kTrailerBytes = 4;  // CRC-32
-// Rows per chunk-parallel predict task; must match the model classes'
-// kPredictChunkRows so the flat path is bit-identical at every thread count.
-constexpr size_t kPredictChunkRows = 256;
 
 uint64_t AlignUp(uint64_t offset) {
   return (offset + kBundleAlign - 1) / kBundleAlign * kBundleAlign;
@@ -86,90 +81,33 @@ void AddBytes(std::vector<PendingSection>* sections, const std::string& name,
   sections->push_back(std::move(section));
 }
 
-void AddF64(std::vector<PendingSection>* sections, const std::string& name,
-            const std::vector<double>& values) {
-  AddBytes(sections, name, BundleDtype::kF64, values.data(),
-           values.size() * sizeof(double));
+template <typename T>
+void AddArray(std::vector<PendingSection>* sections, const std::string& name,
+              const ModelArray<T>& values) {
+  constexpr BundleDtype dtype = std::is_same_v<T, double>    ? BundleDtype::kF64
+                                : std::is_same_v<T, int32_t> ? BundleDtype::kI32
+                                                             : BundleDtype::kU64;
+  static_assert(std::is_same_v<T, double> || std::is_same_v<T, int32_t> ||
+                std::is_same_v<T, uint64_t>);
+  AddBytes(sections, name, dtype, values.data(), values.size() * sizeof(T));
 }
 
-void AddI32(std::vector<PendingSection>* sections, const std::string& name,
-            const std::vector<int32_t>& values) {
-  AddBytes(sections, name, BundleDtype::kI32, values.data(),
-           values.size() * sizeof(int32_t));
-}
-
-void AddU64(std::vector<PendingSection>* sections, const std::string& name,
-            const std::vector<uint64_t>& values) {
-  AddBytes(sections, name, BundleDtype::kU64, values.data(),
-           values.size() * sizeof(uint64_t));
-}
-
-/// Struct-of-arrays node tables for one or more trees, concatenated.
-/// Children are appended to the BFS queue left-then-right, so within a tree
-/// the right child always sits at left_child + 1 and only `left` is stored.
-struct FlatTreeArrays {
-  std::vector<uint64_t> offsets{0};  // node-index range per tree
-  std::vector<int32_t> feature;      // -1 marks a leaf
-  std::vector<double> threshold;
-  std::vector<int32_t> left;         // tree-local; -1 for leaves
-  std::vector<double> value;         // leaf payload (probability / weight)
-};
-
-template <typename Node, typename ValueFn>
-Status AppendBfsTree(const std::vector<Node>& nodes, ValueFn value_of,
-                     FlatTreeArrays* out) {
-  if (nodes.empty()) {
-    return Status::InvalidArgument("cannot pack an empty tree into a bundle");
-  }
-  // Breadth-first visit order. BFS preserves every (feature, threshold)
-  // comparison on the root-to-leaf path, so traversal reaches the same leaf
-  // as the pointer-chasing layout — only the memory order changes.
-  std::vector<int32_t> order;
-  std::vector<int32_t> new_index(nodes.size(), -1);
-  order.reserve(nodes.size());
-  order.push_back(0);
-  new_index[0] = 0;
-  for (size_t q = 0; q < order.size(); ++q) {
-    const Node& node = nodes[order[q]];
-    if (node.is_leaf) continue;
-    if (node.left < 0 || node.right < 0 ||
-        static_cast<size_t>(node.left) >= nodes.size() ||
-        static_cast<size_t>(node.right) >= nodes.size()) {
-      return Status::InvalidArgument("malformed tree: child index out of range");
-    }
-    if (new_index[node.left] != -1 || new_index[node.right] != -1) {
-      return Status::InvalidArgument("malformed tree: node reachable twice");
-    }
-    new_index[node.left] = static_cast<int32_t>(order.size());
-    order.push_back(node.left);
-    new_index[node.right] = static_cast<int32_t>(order.size());
-    order.push_back(node.right);
-  }
-  for (size_t q = 0; q < order.size(); ++q) {
-    const Node& node = nodes[order[q]];
-    out->feature.push_back(node.is_leaf ? -1 : node.feature);
-    out->threshold.push_back(node.is_leaf ? 0.0 : node.threshold);
-    out->left.push_back(node.is_leaf ? -1 : new_index[node.left]);
-    out->value.push_back(value_of(node));
-  }
-  out->offsets.push_back(static_cast<uint64_t>(out->feature.size()));
-  return Status::Ok();
-}
-
+/// The node tables go out as they are: the model already holds them in the
+/// bundle's breadth-first layout.
 void AddTreeSections(std::vector<PendingSection>* sections,
-                     const FlatTreeArrays& arrays, double base_score,
+                     const TreeTable& table, double base_score,
                      double learning_rate) {
   BinaryWriter meta;
-  meta.U64(arrays.offsets.size() - 1);  // num_trees
+  meta.U64(table.num_trees());
   meta.F64(base_score);
   meta.F64(learning_rate);
   AddBytes(sections, "trees.meta", BundleDtype::kBytes, meta.buffer().data(),
            meta.size());
-  AddU64(sections, "trees.offsets", arrays.offsets);
-  AddI32(sections, "trees.feature", arrays.feature);
-  AddF64(sections, "trees.threshold", arrays.threshold);
-  AddI32(sections, "trees.left_child", arrays.left);
-  AddF64(sections, "trees.leaf_value", arrays.value);
+  AddArray(sections, "trees.offsets", table.offsets);
+  AddArray(sections, "trees.feature", table.feature);
+  AddArray(sections, "trees.threshold", table.threshold);
+  AddArray(sections, "trees.left_child", table.left_child);
+  AddArray(sections, "trees.leaf_value", table.leaf_value);
 }
 
 Status AppendModelSections(const Classifier& model,
@@ -180,7 +118,7 @@ Status AppendModelSections(const Classifier& model,
     meta.F64(lr->intercept());
     AddBytes(sections, "lr.meta", BundleDtype::kBytes, meta.buffer().data(),
              meta.size());
-    AddF64(sections, "lr.coef", lr->coefficients());
+    AddArray(sections, "lr.coef", lr->coefficients());
     return Status::Ok();
   }
   if (const auto* nb = dynamic_cast<const NaiveBayesModel*>(&model)) {
@@ -189,61 +127,34 @@ Status AppendModelSections(const Classifier& model,
     meta.F64(nb->log_prior_ratio());
     AddBytes(sections, "nb.meta", BundleDtype::kBytes, meta.buffer().data(),
              meta.size());
-    AddF64(sections, "nb.mean0", nb->mean0());
-    AddF64(sections, "nb.mean1", nb->mean1());
-    AddF64(sections, "nb.var0", nb->var0());
-    AddF64(sections, "nb.var1", nb->var1());
+    AddArray(sections, "nb.mean0", nb->mean0());
+    AddArray(sections, "nb.mean1", nb->mean1());
+    AddArray(sections, "nb.var0", nb->var0());
+    AddArray(sections, "nb.var1", nb->var1());
     return Status::Ok();
   }
   if (const auto* mlp = dynamic_cast<const MlpModel*>(&model)) {
-    if (mlp->W1().is_float32()) {
-      return Status::Unsupported("cannot pack an mlp with float32 weights");
-    }
     BinaryWriter meta;
-    meta.U64(mlp->W1().rows());
-    meta.U64(mlp->W1().cols());
+    meta.U64(mlp->hidden_units());
+    meta.U64(mlp->input_dims());
     meta.F64(mlp->b2());
     AddBytes(sections, "mlp.meta", BundleDtype::kBytes, meta.buffer().data(),
              meta.size());
-    AddF64(sections, "mlp.w1", mlp->W1().data());
-    AddF64(sections, "mlp.b1", mlp->b1());
-    AddF64(sections, "mlp.w2", mlp->w2());
+    AddArray(sections, "mlp.w1", mlp->w1());
+    AddArray(sections, "mlp.b1", mlp->b1());
+    AddArray(sections, "mlp.w2", mlp->w2());
     return Status::Ok();
   }
   if (const auto* dt = dynamic_cast<const DecisionTreeModel*>(&model)) {
-    FlatTreeArrays arrays;
-    Status status = AppendBfsTree(
-        dt->nodes(),
-        [](const DecisionTreeModel::Node& n) { return n.probability; }, &arrays);
-    if (!status.ok()) return status;
-    AddTreeSections(sections, arrays, 0.0, 1.0);
+    AddTreeSections(sections, dt->table(), 0.0, 1.0);
     return Status::Ok();
   }
   if (const auto* rf = dynamic_cast<const RandomForestModel*>(&model)) {
-    FlatTreeArrays arrays;
-    for (const auto& tree : rf->trees()) {
-      const auto* dt_tree = dynamic_cast<const DecisionTreeModel*>(tree.get());
-      if (dt_tree == nullptr) {
-        return Status::InvalidArgument(
-            "random forest member is not a decision tree");
-      }
-      Status status = AppendBfsTree(
-          dt_tree->nodes(),
-          [](const DecisionTreeModel::Node& n) { return n.probability; },
-          &arrays);
-      if (!status.ok()) return status;
-    }
-    AddTreeSections(sections, arrays, 0.0, 1.0);
+    AddTreeSections(sections, rf->table(), 0.0, 1.0);
     return Status::Ok();
   }
   if (const auto* gbdt = dynamic_cast<const GbdtModel*>(&model)) {
-    FlatTreeArrays arrays;
-    for (const auto& tree : gbdt->trees()) {
-      Status status = AppendBfsTree(
-          tree, [](const GbdtTreeNode& n) { return n.value; }, &arrays);
-      if (!status.ok()) return status;
-    }
-    AddTreeSections(sections, arrays, gbdt->base_score(),
+    AddTreeSections(sections, gbdt->table(), gbdt->base_score(),
                     gbdt->learning_rate());
     return Status::Ok();
   }
@@ -442,7 +353,7 @@ uint32_t ReadTrailerCrc(const uint8_t* data, uint64_t size) {
 }  // namespace
 
 /// Friend of ModelBundle: resolves typed array views into the validated
-/// image and cross-checks every shape invariant the flat models rely on.
+/// image and cross-checks every shape invariant the model classes rely on.
 struct BundleParser {
   ModelBundle* bundle;
 
@@ -527,7 +438,7 @@ struct BundleParser {
   Status ParseTrees() {
     Result<BinaryReader> meta_reader = MetaReader("trees.meta");
     if (!meta_reader.ok()) return meta_reader.status();
-    ModelBundle::FlatTrees& trees = bundle->trees_;
+    ModelBundle::TreeSections& trees = bundle->trees_;
     if (!meta_reader->U64(&trees.num_trees) ||
         !meta_reader->F64(&trees.base_score) ||
         !meta_reader->F64(&trees.learning_rate)) {
@@ -784,382 +695,41 @@ Result<std::shared_ptr<const ModelBundle>> ModelBundle::Parse(
   return std::static_pointer_cast<const ModelBundle>(bundle);
 }
 
-// ---------------------------------------------------------------------------
-// Flat models: each replicates the corresponding model's predict arithmetic
-// (same kernels, same chunking, same accumulation order) over the aliased
-// arrays, so results are bit-identical at every thread count. Defined at
-// namespace scope (not anonymous) so ModelBundle's friend declarations
-// match; they stay cc-private via the header's absence of declarations.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Root-to-leaf walk over one tree's slice of the node tables. The right
-/// child is left_child + 1 by BFS construction; the comparison matches the
-/// pointer layouts (`row[feature] <= threshold`, float rows widened once).
-template <typename T>
-double FlatLeafValue(const int32_t* feature, const double* threshold,
-                     const int32_t* left, const double* value, const T* row) {
-  int32_t i = 0;
-  while (feature[i] >= 0) {
-    i = static_cast<double>(row[feature[i]]) <= threshold[i] ? left[i]
-                                                             : left[i] + 1;
-  }
-  return value[i];
-}
-
-}  // namespace
-
-class FlatTreeBase : public Classifier {
- public:
-  explicit FlatTreeBase(std::shared_ptr<const ModelBundle> bundle)
-      : bundle_(std::move(bundle)), trees_(bundle_->trees_) {}
-
- protected:
-  template <typename T>
-  double TreeLeaf(uint64_t tree, const T* row) const {
-    const uint64_t base = trees_.tree_offsets[tree];
-    return FlatLeafValue(trees_.feature + base, trees_.threshold + base,
-                         trees_.left_child + base, trees_.leaf_value + base,
-                         row);
-  }
-
-  std::shared_ptr<const ModelBundle> bundle_;
-  const ModelBundle::FlatTrees& trees_;
-};
-
-class FlatTreeModel final : public FlatTreeBase {
- public:
-  using FlatTreeBase::FlatTreeBase;
-
-  std::vector<double> PredictProba(const Matrix& X) const override {
-    std::vector<double> proba(X.rows());
-    if (X.is_float32()) {
-      for (size_t i = 0; i < X.rows(); ++i) proba[i] = TreeLeaf(0, X.RowF(i));
-    } else {
-      for (size_t i = 0; i < X.rows(); ++i) proba[i] = TreeLeaf(0, X.Row(i));
-    }
-    return proba;
-  }
-
-  void AccumulateProba(const Matrix& X, size_t row_begin, size_t row_end,
-                       std::vector<double>& proba) const override {
-    if (X.is_float32()) {
-      for (size_t i = row_begin; i < row_end; ++i)
-        proba[i] += TreeLeaf(0, X.RowF(i));
-    } else {
-      for (size_t i = row_begin; i < row_end; ++i)
-        proba[i] += TreeLeaf(0, X.Row(i));
-    }
-  }
-
-  std::string Name() const override { return "decision_tree"; }
-};
-
-class FlatForestModel final : public FlatTreeBase {
- public:
-  FlatForestModel(std::shared_ptr<const ModelBundle> bundle, int num_threads)
-      : FlatTreeBase(std::move(bundle)),
-        num_threads_(std::max(1, num_threads)) {}
-
-  std::vector<double> PredictProba(const Matrix& X) const override {
-    const size_t n = X.rows();
-    const bool f32 = X.is_float32();
-    std::vector<double> proba(n, 0.0);
-    // Tree-index-order accumulation per row, chunk-parallel over disjoint
-    // rows — the same schedule as RandomForestModel::PredictProba, so the
-    // result is bit-identical for any thread count.
-    auto accumulate_rows = [&](size_t begin, size_t end) {
-      for (uint64_t t = 0; t < trees_.num_trees; ++t) {
-        if (f32) {
-          for (size_t i = begin; i < end; ++i) proba[i] += TreeLeaf(t, X.RowF(i));
-        } else {
-          for (size_t i = begin; i < end; ++i) proba[i] += TreeLeaf(t, X.Row(i));
-        }
-      }
-    };
-    if (num_threads_ <= 1 || n < 2 * kPredictChunkRows) {
-      accumulate_rows(0, n);
-    } else {
-      const size_t chunks = (n + kPredictChunkRows - 1) / kPredictChunkRows;
-      ThreadPool::Global().ParallelFor(
-          chunks,
-          [&](size_t c) {
-            const size_t begin = c * kPredictChunkRows;
-            accumulate_rows(begin, std::min(n, begin + kPredictChunkRows));
-          },
-          num_threads_);
-    }
-    const double inv = 1.0 / static_cast<double>(trees_.num_trees);
-    for (double& p : proba) p *= inv;
-    return proba;
-  }
-
-  std::string Name() const override { return "random_forest"; }
-
- private:
-  int num_threads_;
-};
-
-class FlatGbdtModel final : public FlatTreeBase {
- public:
-  FlatGbdtModel(std::shared_ptr<const ModelBundle> bundle, int num_threads)
-      : FlatTreeBase(std::move(bundle)),
-        num_threads_(std::max(1, num_threads)) {}
-
-  std::vector<double> PredictProba(const Matrix& X) const override {
-    std::vector<double> proba = PredictRaw(X);
-    SigmoidInPlace(&proba);
-    return proba;
-  }
-
-  void AccumulateProba(const Matrix& X, size_t row_begin, size_t row_end,
-                       std::vector<double>& proba) const override {
-    // Blocked sigmoid into a stack scratch, mirroring GbdtModel.
-    const bool f32 = X.is_float32();
-    double scratch[kPredictChunkRows];
-    for (size_t start = row_begin; start < row_end;
-         start += kPredictChunkRows) {
-      const size_t len = std::min(row_end - start, kPredictChunkRows);
-      if (f32) {
-        for (size_t j = 0; j < len; ++j) scratch[j] = RawRow(X.RowF(start + j));
-      } else {
-        for (size_t j = 0; j < len; ++j) scratch[j] = RawRow(X.Row(start + j));
-      }
-      SigmoidInPlace(scratch, len);
-      for (size_t j = 0; j < len; ++j) proba[start + j] += scratch[j];
-    }
-  }
-
-  std::string Name() const override { return "gbdt"; }
-
- private:
-  template <typename T>
-  double RawRow(const T* row) const {
-    double raw = trees_.base_score;
-    for (uint64_t t = 0; t < trees_.num_trees; ++t) {
-      raw += trees_.learning_rate * TreeLeaf(t, row);
-    }
-    return raw;
-  }
-
-  std::vector<double> PredictRaw(const Matrix& X) const {
-    const size_t n = X.rows();
-    const bool f32 = X.is_float32();
-    std::vector<double> raw(n);
-    auto score_rows = [&](size_t begin, size_t end) {
-      if (f32) {
-        for (size_t i = begin; i < end; ++i) raw[i] = RawRow(X.RowF(i));
-      } else {
-        for (size_t i = begin; i < end; ++i) raw[i] = RawRow(X.Row(i));
-      }
-    };
-    if (num_threads_ <= 1 || n < 2 * kPredictChunkRows) {
-      score_rows(0, n);
-    } else {
-      const size_t chunks = (n + kPredictChunkRows - 1) / kPredictChunkRows;
-      ThreadPool::Global().ParallelFor(
-          chunks,
-          [&](size_t c) {
-            const size_t begin = c * kPredictChunkRows;
-            score_rows(begin, std::min(n, begin + kPredictChunkRows));
-          },
-          num_threads_);
-    }
-    return raw;
-  }
-
-  int num_threads_;
-};
-
-class FlatLrModel final : public Classifier {
- public:
-  explicit FlatLrModel(std::shared_ptr<const ModelBundle> bundle)
-      : bundle_(std::move(bundle)), lr_(bundle_->lr_) {}
-
-  std::vector<double> PredictProba(const Matrix& X) const override {
-    OF_CHECK_EQ(X.cols(), static_cast<size_t>(lr_.dims));
-    std::vector<double> proba(X.rows());
-    X.MatVecInto(lr_.coef, proba.data());
-    for (double& p : proba) p += lr_.intercept;
-    SigmoidInPlace(&proba);
-    return proba;
-  }
-
-  std::string Name() const override { return "logistic_regression"; }
-
- private:
-  std::shared_ptr<const ModelBundle> bundle_;
-  const ModelBundle::FlatLinear& lr_;
-};
-
-class FlatMlpModel final : public Classifier {
- public:
-  explicit FlatMlpModel(std::shared_ptr<const ModelBundle> bundle)
-      : bundle_(std::move(bundle)), mlp_(bundle_->mlp_) {}
-
-  std::vector<double> PredictProba(const Matrix& X) const override {
-    const size_t d = static_cast<size_t>(mlp_.dims);
-    const size_t h = static_cast<size_t>(mlp_.hidden);
-    OF_CHECK_EQ(X.cols(), d);
-    const size_t n = X.rows();
-    const bool f32 = X.is_float32();
-    std::vector<double> proba(n);
-    std::vector<double> hidden(h);
-    const simd::Kernels& kernels = simd::Active();
-    // Row-blocked predict with the same per-row dot kernels Matrix::
-    // MatVecInto dispatches to (note dot_f32 takes the float operand first).
-    constexpr size_t kBlockRows = 256;
-    for (size_t start = 0; start < n; start += kBlockRows) {
-      const size_t end = std::min(n, start + kBlockRows);
-      for (size_t i = start; i < end; ++i) {
-        if (f32) {
-          const float* row = X.RowF(i);
-          for (size_t j = 0; j < h; ++j) {
-            hidden[j] = kernels.dot_f32(row, mlp_.w1 + j * d, d);
-          }
-        } else {
-          const double* row = X.Row(i);
-          for (size_t j = 0; j < h; ++j) {
-            hidden[j] = kernels.dot(mlp_.w1 + j * d, row, d);
-          }
-        }
-        for (size_t j = 0; j < h; ++j) {
-          const double z = hidden[j] + mlp_.b1[j];
-          hidden[j] = z > 0.0 ? z : 0.0;  // ReLU
-        }
-        proba[i] = mlp_.b2 + kernels.dot(mlp_.w2, hidden.data(), h);
-      }
-      kernels.sigmoid_inplace(proba.data() + start, end - start);
-    }
-    return proba;
-  }
-
-  std::string Name() const override { return "mlp"; }
-
- private:
-  std::shared_ptr<const ModelBundle> bundle_;
-  const ModelBundle::FlatMlp& mlp_;
-};
-
-class FlatNbModel final : public Classifier {
- public:
-  explicit FlatNbModel(std::shared_ptr<const ModelBundle> bundle)
-      : bundle_(std::move(bundle)), nb_(bundle_->nb_) {}
-
-  std::vector<double> PredictProba(const Matrix& X) const override {
-    const size_t d = static_cast<size_t>(nb_.dims);
-    OF_CHECK_EQ(X.cols(), d);
-    std::vector<double> proba(X.rows());
-    for (size_t i = 0; i < X.rows(); ++i) {
-      double log_odds = nb_.log_prior_ratio;
-      for (size_t c = 0; c < d; ++c) {
-        const double x = X(i, c);
-        const double d1 = x - nb_.mean1[c];
-        const double d0 = x - nb_.mean0[c];
-        log_odds += -0.5 * std::log(nb_.var1[c]) - 0.5 * d1 * d1 / nb_.var1[c];
-        log_odds -= -0.5 * std::log(nb_.var0[c]) - 0.5 * d0 * d0 / nb_.var0[c];
-      }
-      proba[i] = Sigmoid(log_odds);
-    }
-    return proba;
-  }
-
-  std::string Name() const override { return "naive_bayes"; }
-
- private:
-  std::shared_ptr<const ModelBundle> bundle_;
-  const ModelBundle::FlatNb& nb_;
-};
-
 std::unique_ptr<Classifier> ModelBundle::MakeModel(int num_threads) const {
-  std::shared_ptr<const ModelBundle> self = shared_from_this();
-  switch (family_) {
-    case Family::kLr:
-      return std::make_unique<FlatLrModel>(std::move(self));
-    case Family::kNb:
-      return std::make_unique<FlatNbModel>(std::move(self));
-    case Family::kDt:
-      return std::make_unique<FlatTreeModel>(std::move(self));
-    case Family::kRf:
-      return std::make_unique<FlatForestModel>(std::move(self), num_threads);
-    case Family::kGbdt:
-      return std::make_unique<FlatGbdtModel>(std::move(self), num_threads);
-    case Family::kMlp:
-      return std::make_unique<FlatMlpModel>(std::move(self));
-  }
-  return nullptr;
-}
-
-// ---------------------------------------------------------------------------
-// Decoding to the trainer's own model classes
-// ---------------------------------------------------------------------------
-
-namespace {
-
-std::vector<double> CopyArray(const double* values, uint64_t count) {
-  return std::vector<double>(values, values + count);
-}
-
-}  // namespace
-
-std::unique_ptr<Classifier> ModelBundle::DecodeModel() const {
-  // One tree's slice of the breadth-first node tables as a node array that
-  // keeps each node's index (right child = left_child + 1), so packing the
-  // decoded tree again reproduces the same tables.
-  auto decode_tree = [this]<typename Node>(uint64_t tree,
-                                           double Node::*payload) {
-    const uint64_t begin = trees_.tree_offsets[tree];
-    std::vector<Node> nodes(trees_.tree_offsets[tree + 1] - begin);
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      Node& node = nodes[i];
-      const int32_t feature = trees_.feature[begin + i];
-      node.is_leaf = feature < 0;
-      if (!node.is_leaf) {
-        node.feature = feature;
-        node.threshold = trees_.threshold[begin + i];
-        node.left = trees_.left_child[begin + i];
-        node.right = node.left + 1;
-      }
-      node.*payload = trees_.leaf_value[begin + i];
-    }
-    return nodes;
+  // Every array views the image in place and keeps this bundle alive.
+  const std::shared_ptr<const ModelBundle> self = shared_from_this();
+  const auto view = [&self]<typename T>(const T* data, uint64_t count) {
+    return ModelArray<T>(self, data, static_cast<size_t>(count));
+  };
+  const auto tree_table = [&] {
+    const uint64_t nodes = trees_.tree_offsets[trees_.num_trees];
+    TreeTable table;
+    table.offsets = view(trees_.tree_offsets, trees_.num_trees + 1);
+    table.feature = view(trees_.feature, nodes);
+    table.threshold = view(trees_.threshold, nodes);
+    table.left_child = view(trees_.left_child, nodes);
+    table.leaf_value = view(trees_.leaf_value, nodes);
+    return table;
   };
   switch (family_) {
     case Family::kLr:
-      return std::make_unique<LogisticRegressionModel>(
-          CopyArray(lr_.coef, lr_.dims), lr_.intercept);
+      return std::make_unique<LogisticRegressionModel>(view(lr_.coef, lr_.dims),
+                                                       lr_.intercept);
     case Family::kNb:
       return std::make_unique<NaiveBayesModel>(
-          nb_.log_prior_ratio, CopyArray(nb_.mean0, nb_.dims),
-          CopyArray(nb_.mean1, nb_.dims), CopyArray(nb_.var0, nb_.dims),
-          CopyArray(nb_.var1, nb_.dims));
-    case Family::kMlp: {
-      Matrix w1(static_cast<size_t>(mlp_.hidden), static_cast<size_t>(mlp_.dims));
-      std::copy(mlp_.w1, mlp_.w1 + mlp_.hidden * mlp_.dims, w1.data().begin());
-      return std::make_unique<MlpModel>(std::move(w1),
-                                        CopyArray(mlp_.b1, mlp_.hidden),
-                                        CopyArray(mlp_.w2, mlp_.hidden), mlp_.b2);
-    }
+          nb_.log_prior_ratio, view(nb_.mean0, nb_.dims), view(nb_.mean1, nb_.dims),
+          view(nb_.var0, nb_.dims), view(nb_.var1, nb_.dims));
+    case Family::kMlp:
+      return std::make_unique<MlpModel>(view(mlp_.w1, mlp_.hidden * mlp_.dims),
+                                        view(mlp_.b1, mlp_.hidden),
+                                        view(mlp_.w2, mlp_.hidden), mlp_.b2);
     case Family::kDt:
-      return std::make_unique<DecisionTreeModel>(
-          decode_tree(0, &DecisionTreeModel::Node::probability));
-    case Family::kRf: {
-      std::vector<std::unique_ptr<Classifier>> trees;
-      for (uint64_t t = 0; t < trees_.num_trees; ++t) {
-        trees.push_back(std::make_unique<DecisionTreeModel>(
-            decode_tree(t, &DecisionTreeModel::Node::probability)));
-      }
-      return std::make_unique<RandomForestModel>(std::move(trees));
-    }
-    case Family::kGbdt: {
-      std::vector<std::vector<GbdtTreeNode>> trees;
-      for (uint64_t t = 0; t < trees_.num_trees; ++t) {
-        trees.push_back(decode_tree(t, &GbdtTreeNode::value));
-      }
-      return std::make_unique<GbdtModel>(std::move(trees), trees_.base_score,
-                                         trees_.learning_rate);
-    }
+      return std::make_unique<DecisionTreeModel>(tree_table());
+    case Family::kRf:
+      return std::make_unique<RandomForestModel>(tree_table(), num_threads);
+    case Family::kGbdt:
+      return std::make_unique<GbdtModel>(tree_table(), trees_.base_score,
+                                         trees_.learning_rate, num_threads);
   }
   return nullptr;
 }

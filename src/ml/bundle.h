@@ -29,10 +29,13 @@ namespace omnifair {
 //
 // Numeric payloads are raw little-endian arrays (f64 / i32 / u64) aligned
 // for the simd kernels, so loading memory-maps the file and aliases the
-// arrays in place — no parse, no copy. Tree ensembles are re-laid out
-// breadth-first into struct-of-arrays node tables (`feature[]`,
-// `threshold[]`, `left_child[]`, `leaf_value[]`; the right child is always
-// `left_child + 1` by BFS construction) for cache-linear traversal.
+// arrays in place — no parse, no copy. The arrays are exactly what each
+// family's model class holds (ModelArray, ml/classifier.h): LR, NB and MLP
+// parameter vectors, and for trees the breadth-first struct-of-arrays node
+// tables the builders pack (TreeTable, ml/tree_table.h: `offsets[]`,
+// `feature[]`, `threshold[]`, `left_child[]`, `leaf_value[]`; the right
+// child is always `left_child + 1`). Encoding writes them as they are, and
+// MakeModel views them in place.
 //
 // The reader validates magic/version/declared size before trusting anything,
 // checks the CRC over the whole image, and bounds-checks the section table
@@ -82,9 +85,7 @@ struct BundleMeta {
 /// Serializes `model` + `encoder` + `meta` into an in-memory bundle image.
 /// Supported families: logistic_regression,
 /// naive_bayes, decision_tree, random_forest, gbdt, mlp; anything else
-/// (e.g. baseline ensembles) fails with kUnsupported. An ensemble member
-/// that is not a decision tree, or a tree with no nodes, fails with
-/// kInvalidArgument.
+/// (e.g. baseline ensembles) fails with kUnsupported.
 Result<std::vector<uint8_t>> EncodeBundle(const Classifier& model,
                                           const FeatureEncoder& encoder,
                                           const BundleMeta& meta);
@@ -155,18 +156,14 @@ class ModelBundle : public std::enable_shared_from_this<ModelBundle> {
   bool mapped() const { return mapped_; }
   uint64_t file_size() const { return size_; }
 
-  /// A Classifier over the in-place arrays. Predictions are bit-identical
-  /// to the original model's PredictProba for every family, every Matrix
-  /// storage mode and every thread count. `num_threads` mirrors the
-  /// RF/GBDT chunk-parallel predict knob (1 = fully sequential).
+  /// The family's own model class (LogisticRegressionModel ... GbdtModel)
+  /// over the in-place arrays: zero-copy, and the model keeps this bundle
+  /// alive. This is the one way out of a bundle: LoadFairModel, checkpoint
+  /// replay and serving all call it. Scores equal the encoded model's bit
+  /// for bit for every family, Matrix storage mode and thread count, and
+  /// encoding the model again yields the same bundle bytes. `num_threads` is
+  /// the RF/GBDT chunk-parallel predict knob (1 = fully sequential).
   std::unique_ptr<Classifier> MakeModel(int num_threads = 1) const;
-
-  /// The trainer's own model class (LogisticRegressionModel ... GbdtModel)
-  /// rebuilt from the validated arrays, as owned copies that outlive the
-  /// bundle. Its scores equal the encoded model's bit for bit, and encoding
-  /// it again yields the same bundle bytes — what checkpoint replay needs.
-  /// LoadFairModel and checkpoint resume use it; serving uses MakeModel.
-  std::unique_ptr<Classifier> DecodeModel() const;
 
  private:
   friend struct BundleParser;
@@ -190,7 +187,7 @@ class ModelBundle : public std::enable_shared_from_this<ModelBundle> {
   enum class Family { kLr, kNb, kDt, kRf, kGbdt, kMlp };
   Family family_ = Family::kLr;
 
-  struct FlatTrees {
+  struct TreeSections {
     uint64_t num_trees = 0;
     const uint64_t* tree_offsets = nullptr;  // num_trees + 1 entries
     const int32_t* feature = nullptr;        // -1 marks a leaf
@@ -200,16 +197,16 @@ class ModelBundle : public std::enable_shared_from_this<ModelBundle> {
     double base_score = 0.0;     // gbdt only
     double learning_rate = 1.0;  // gbdt only
   };
-  FlatTrees trees_;
+  TreeSections trees_;
 
-  struct FlatLinear {
+  struct LrSections {
     uint64_t dims = 0;
-    const double* coef = nullptr;  // lr coefficients
+    const double* coef = nullptr;
     double intercept = 0.0;
   };
-  FlatLinear lr_;
+  LrSections lr_;
 
-  struct FlatMlp {
+  struct MlpSections {
     uint64_t hidden = 0;
     uint64_t dims = 0;
     const double* w1 = nullptr;  // hidden x dims, row-major
@@ -217,9 +214,9 @@ class ModelBundle : public std::enable_shared_from_this<ModelBundle> {
     const double* w2 = nullptr;  // hidden
     double b2 = 0.0;
   };
-  FlatMlp mlp_;
+  MlpSections mlp_;
 
-  struct FlatNb {
+  struct NbSections {
     uint64_t dims = 0;
     double log_prior_ratio = 0.0;
     const double* mean0 = nullptr;
@@ -227,15 +224,7 @@ class ModelBundle : public std::enable_shared_from_this<ModelBundle> {
     const double* var0 = nullptr;
     const double* var1 = nullptr;
   };
-  FlatNb nb_;
-
-  friend class FlatTreeBase;
-  friend class FlatTreeModel;
-  friend class FlatForestModel;
-  friend class FlatGbdtModel;
-  friend class FlatLrModel;
-  friend class FlatMlpModel;
-  friend class FlatNbModel;
+  NbSections nb_;
 };
 
 }  // namespace omnifair

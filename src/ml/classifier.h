@@ -20,6 +20,37 @@ enum class LrSchedule {
   kInvSqrt,
 };
 
+/// A model's read-only parameter array. It either owns its elements (a model
+/// fresh from a Trainer) or views a validated bundle image that it keeps
+/// alive (a model from ModelBundle::MakeModel; zero-copy). Copies share the
+/// elements, which nothing writes after construction.
+template <typename T>
+class ModelArray {
+ public:
+  ModelArray() = default;
+  /// Owns `values` (implicit, so trainers pass their vectors straight in).
+  ModelArray(std::vector<T> values)  // NOLINT(google-explicit-constructor)
+      : ModelArray(std::make_shared<const std::vector<T>>(std::move(values))) {}
+  /// Views `size` elements at `data`, which `owner` keeps alive.
+  ModelArray(std::shared_ptr<const void> owner, const T* data, size_t size)
+      : owner_(std::move(owner)), data_(data), size_(size) {}
+
+  const T* data() const { return data_; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const T& operator[](size_t i) const { return data_[i]; }
+  const T* begin() const { return data_; }
+  const T* end() const { return data_ + size_; }
+
+ private:
+  explicit ModelArray(std::shared_ptr<const std::vector<T>> owned)
+      : owner_(owned), data_(owned->data()), size_(owned->size()) {}
+
+  std::shared_ptr<const void> owner_;
+  const T* data_ = nullptr;
+  size_t size_ = 0;
+};
+
 /// A trained binary classifier h_theta. Immutable once produced by a Trainer.
 class Classifier {
  public:

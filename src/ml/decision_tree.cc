@@ -32,7 +32,7 @@ class TreeBuilder {
               const std::vector<double>& weights, const DecisionTreeOptions& options)
       : X_(X), y_(y), weights_(weights), options_(options), rng_(options.seed) {}
 
-  std::vector<DecisionTreeModel::Node> Build() {
+  std::vector<TreeBuildNode> Build() {
     std::vector<size_t> all(X_.rows());
     std::iota(all.begin(), all.end(), 0);
     BuildNode(std::move(all), /*depth=*/0);
@@ -50,7 +50,7 @@ class TreeBuilder {
 
     const int node_index = static_cast<int>(nodes_.size());
     nodes_.emplace_back();
-    nodes_[node_index].probability = w_total > 0.0 ? w_pos / w_total : 0.5;
+    nodes_[node_index].value = w_total > 0.0 ? w_pos / w_total : 0.5;
 
     const bool pure = w_pos <= 1e-12 || w_total - w_pos <= 1e-12;
     if (depth >= options_.max_depth || pure || w_total < options_.min_weight_split ||
@@ -147,7 +147,7 @@ class TreeBuilder {
   const std::vector<double>& weights_;
   const DecisionTreeOptions& options_;
   Rng rng_;
-  std::vector<DecisionTreeModel::Node> nodes_;
+  std::vector<TreeBuildNode> nodes_;
   /// Per-node scratch, hoisted so split search does not allocate per node.
   std::vector<size_t> features_;
   std::vector<size_t> order_;
@@ -178,7 +178,7 @@ class HistTreeBuilder {
     }
   }
 
-  std::vector<DecisionTreeModel::Node> Build() {
+  std::vector<TreeBuildNode> Build() {
     std::vector<size_t> all(X_.rows());
     std::iota(all.begin(), all.end(), 0);
     NodeHistogram root;
@@ -199,7 +199,7 @@ class HistTreeBuilder {
 
     const int node_index = static_cast<int>(nodes_.size());
     nodes_.emplace_back();
-    nodes_[node_index].probability = w_total > 0.0 ? w_pos / w_total : 0.5;
+    nodes_[node_index].value = w_total > 0.0 ? w_pos / w_total : 0.5;
 
     const bool pure = w_pos <= 1e-12 || w_total - w_pos <= 1e-12;
     if (depth >= options_.max_depth || pure || w_total < options_.min_weight_split ||
@@ -305,73 +305,39 @@ class HistTreeBuilder {
   const size_t stride_;
   Rng rng_;
   std::vector<double> pos_weights_;
-  std::vector<DecisionTreeModel::Node> nodes_;
+  std::vector<TreeBuildNode> nodes_;
   std::vector<size_t> features_;
 };
 
 }  // namespace
 
-DecisionTreeModel::DecisionTreeModel(std::vector<Node> nodes)
-    : nodes_(std::move(nodes)) {
-  OF_CHECK(!nodes_.empty());
-}
-
-namespace {
-
-/// Shared traversal over either feature-element width; comparisons widen the
-/// stored element to double, so float32 rows route exactly like double rows
-/// whose values were narrowed at encode time.
-template <typename T>
-int TraverseToLeaf(const std::vector<DecisionTreeModel::Node>& nodes,
-                   const T* row) {
-  int index = 0;
-  while (!nodes[index].is_leaf) {
-    const DecisionTreeModel::Node& node = nodes[index];
-    index = static_cast<double>(row[node.feature]) <= node.threshold ? node.left
-                                                                     : node.right;
-  }
-  return index;
-}
-
-}  // namespace
-
-double DecisionTreeModel::PredictRow(const double* row) const {
-  return nodes_[TraverseToLeaf(nodes_, row)].probability;
-}
-
-double DecisionTreeModel::PredictRow(const float* row) const {
-  return nodes_[TraverseToLeaf(nodes_, row)].probability;
+DecisionTreeModel::DecisionTreeModel(TreeTable table) : table_(std::move(table)) {
+  OF_CHECK_EQ(table_.num_trees(), 1u);
 }
 
 std::vector<double> DecisionTreeModel::PredictProba(const Matrix& X) const {
   std::vector<double> proba(X.rows());
-  if (X.is_float32()) {
-    for (size_t i = 0; i < X.rows(); ++i) proba[i] = PredictRow(X.RowF(i));
-  } else {
-    for (size_t i = 0; i < X.rows(); ++i) proba[i] = PredictRow(X.Row(i));
-  }
+  ForEachRow(X, 0, X.rows(), [&](size_t i, const auto* row) {
+    proba[i] = table_.Leaf(0, row);
+  });
   return proba;
 }
 
 void DecisionTreeModel::AccumulateProba(const Matrix& X, size_t row_begin,
                                         size_t row_end,
                                         std::vector<double>& proba) const {
-  if (X.is_float32()) {
-    for (size_t i = row_begin; i < row_end; ++i) proba[i] += PredictRow(X.RowF(i));
-  } else {
-    for (size_t i = row_begin; i < row_end; ++i) proba[i] += PredictRow(X.Row(i));
-  }
+  ForEachRow(X, row_begin, row_end, [&](size_t i, const auto* row) {
+    proba[i] += table_.Leaf(0, row);
+  });
 }
 
 int DecisionTreeModel::Depth() const {
-  // Iterative depth computation over the flat array.
-  std::vector<int> depth(nodes_.size(), 0);
+  // Breadth-first order puts every parent before its children.
+  std::vector<int> depth(table_.num_nodes(), 0);
   int max_depth = 0;
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (!nodes_[i].is_leaf) {
-      depth[nodes_[i].left] = depth[i] + 1;
-      depth[nodes_[i].right] = depth[i] + 1;
-    }
+  for (size_t i = 0; i < depth.size(); ++i) {
+    const int32_t left = table_.left_child[i];
+    if (left >= 0) depth[left] = depth[left + 1] = depth[i] + 1;
     max_depth = std::max(max_depth, depth[i]);
   }
   return max_depth;
@@ -389,6 +355,11 @@ std::unique_ptr<Trainer> DecisionTreeTrainer::Clone() const {
 
 std::unique_ptr<Classifier> DecisionTreeTrainer::Fit(
     const Matrix& X, const std::vector<int>& y, const std::vector<double>& weights) {
+  return std::make_unique<DecisionTreeModel>(FitTable(X, y, weights));
+}
+
+TreeTable DecisionTreeTrainer::FitTable(const Matrix& X, const std::vector<int>& y,
+                                        const std::vector<double>& weights) {
   OF_CHECK_EQ(X.rows(), y.size());
   OF_CHECK_EQ(X.rows(), weights.size());
   OF_CHECK_GT(X.rows(), 0u);
@@ -400,10 +371,10 @@ std::unique_ptr<Classifier> DecisionTreeTrainer::Fit(
       binned = bin_cache_->GetOrBuild(X, options_.max_bins, options_.num_threads);
     }
     HistTreeBuilder builder(X, y, weights, options_, std::move(binned));
-    return std::make_unique<DecisionTreeModel>(builder.Build());
+    return PackTree(builder.Build());
   }
   TreeBuilder builder(X, y, weights, options_);
-  return std::make_unique<DecisionTreeModel>(builder.Build());
+  return PackTree(builder.Build());
 }
 
 }  // namespace omnifair

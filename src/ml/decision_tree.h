@@ -8,6 +8,7 @@
 
 #include "ml/binning.h"
 #include "ml/classifier.h"
+#include "ml/tree_table.h"
 #include "util/random.h"
 
 namespace omnifair {
@@ -35,20 +36,12 @@ struct DecisionTreeOptions {
   int num_threads = 1;
 };
 
-/// A fitted CART tree stored as a flat node array.
+/// A fitted CART tree: one tree's breadth-first node tables, whose leaf
+/// values are the weighted P(y=1) of the training examples reaching them.
 class DecisionTreeModel : public Classifier {
  public:
-  struct Node {
-    bool is_leaf = true;
-    int feature = -1;
-    double threshold = 0.0;
-    int left = -1;
-    int right = -1;
-    /// Weighted P(y=1) among training examples reaching this leaf.
-    double probability = 0.5;
-  };
-
-  explicit DecisionTreeModel(std::vector<Node> nodes);
+  /// `table` holds exactly one tree.
+  explicit DecisionTreeModel(TreeTable table);
 
   std::vector<double> PredictProba(const Matrix& X) const override;
   /// Per-row traversal straight into the output buffer — no temporary.
@@ -56,17 +49,13 @@ class DecisionTreeModel : public Classifier {
                        std::vector<double>& proba) const override;
   std::string Name() const override { return "decision_tree"; }
 
-  size_t NumNodes() const { return nodes_.size(); }
-  const std::vector<Node>& nodes() const { return nodes_; }
+  size_t NumNodes() const { return table_.num_nodes(); }
+  const TreeTable& table() const { return table_; }
   /// Depth of the deepest leaf (root = 0).
   int Depth() const;
 
  private:
-  double PredictRow(const double* row) const;
-  /// Float32 feature rows: thresholds stay double, each element widens once.
-  double PredictRow(const float* row) const;
-
-  std::vector<Node> nodes_;
+  TreeTable table_;
 };
 
 /// Weighted CART on the weighted Gini impurity, with exact (per-node sort)
@@ -83,6 +72,9 @@ class DecisionTreeTrainer : public Trainer {
   using Trainer::Fit;
 
   std::string Name() const override { return "decision_tree"; }
+  /// Fit's tree as bare node tables (RandomForestTrainer concatenates them).
+  TreeTable FitTable(const Matrix& X, const std::vector<int>& y,
+                     const std::vector<double>& weights);
   /// The clone shares this trainer's BinningCache, so parallel tuners that
   /// fit every grid point on its own clone still bin X exactly once.
   std::unique_ptr<Trainer> Clone() const override;

@@ -8,14 +8,10 @@
 #include "util/fault_injector.h"
 #include "util/logging.h"
 #include "util/telemetry.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace omnifair {
 namespace {
-
-// Rows per PredictRaw task, matching RandomForestModel's chunking.
-constexpr size_t kPredictChunkRows = 256;
 
 /// Builds one regression tree on (grad, hess) and returns the node array.
 class GbdtTreeBuilder {
@@ -24,7 +20,7 @@ class GbdtTreeBuilder {
                   const std::vector<double>& hess, const GbdtOptions& options)
       : X_(X), grad_(grad), hess_(hess), options_(options) {}
 
-  std::vector<GbdtTreeNode> Build() {
+  std::vector<TreeBuildNode> Build() {
     std::vector<size_t> all(X_.rows());
     std::iota(all.begin(), all.end(), 0);
     BuildNode(std::move(all), 0);
@@ -119,7 +115,7 @@ class GbdtTreeBuilder {
   const std::vector<double>& grad_;
   const std::vector<double>& hess_;
   const GbdtOptions& options_;
-  std::vector<GbdtTreeNode> nodes_;
+  std::vector<TreeBuildNode> nodes_;
   /// Per-node scratch, hoisted so split search does not allocate per node.
   std::vector<size_t> order_;
 };
@@ -141,7 +137,7 @@ class GbdtHistTreeBuilder {
         binned_(binned),
         stride_(static_cast<size_t>(binned.max_bins())) {}
 
-  std::vector<GbdtTreeNode> Build() {
+  std::vector<TreeBuildNode> Build() {
     std::vector<size_t> all(X_.rows());
     std::iota(all.begin(), all.end(), 0);
     NodeHistogram root;
@@ -252,73 +248,33 @@ class GbdtHistTreeBuilder {
   const GbdtOptions& options_;
   const BinnedMatrix& binned_;
   const size_t stride_;
-  std::vector<GbdtTreeNode> nodes_;
+  std::vector<TreeBuildNode> nodes_;
 };
-
-/// Tree walk over either feature-element width: comparisons widen the stored
-/// element to double, so float32 rows route exactly like double rows whose
-/// values were narrowed at encode time.
-template <typename T>
-double PredictTree(const std::vector<GbdtTreeNode>& nodes, const T* row) {
-  int index = 0;
-  while (!nodes[index].is_leaf) {
-    index = static_cast<double>(row[nodes[index].feature]) <=
-                    nodes[index].threshold
-                ? nodes[index].left
-                : nodes[index].right;
-  }
-  return nodes[index].value;
-}
-
-template <typename T>
-double PredictRawRowImpl(const std::vector<std::vector<GbdtTreeNode>>& trees,
-                         double base_score, double learning_rate, const T* row) {
-  double raw = base_score;
-  for (const auto& tree : trees) raw += learning_rate * PredictTree(tree, row);
-  return raw;
-}
 
 }  // namespace
 
-GbdtModel::GbdtModel(std::vector<std::vector<GbdtTreeNode>> trees, double base_score,
-                     double learning_rate, int num_threads)
+GbdtModel::GbdtModel(TreeTable trees, double base_score, double learning_rate,
+                     int num_threads)
     : trees_(std::move(trees)),
       base_score_(base_score),
       learning_rate_(learning_rate),
       num_threads_(std::max(1, num_threads)) {}
 
-double GbdtModel::PredictRawRow(const double* row) const {
-  return PredictRawRowImpl(trees_, base_score_, learning_rate_, row);
+template <typename T>
+double GbdtModel::RawRow(const T* row) const {
+  double raw = base_score_;
+  for (size_t t = 0; t < trees_.num_trees(); ++t) {
+    raw += learning_rate_ * trees_.Leaf(t, row);
+  }
+  return raw;
 }
 
 std::vector<double> GbdtModel::PredictRaw(const Matrix& X) const {
-  const size_t n = X.rows();
-  const bool f32 = X.is_float32();
-  std::vector<double> raw(n);
-  auto score_rows = [&](size_t begin, size_t end) {
-    if (f32) {
-      for (size_t i = begin; i < end; ++i) {
-        raw[i] = PredictRawRowImpl(trees_, base_score_, learning_rate_, X.RowF(i));
-      }
-    } else {
-      for (size_t i = begin; i < end; ++i) raw[i] = PredictRawRow(X.Row(i));
-    }
-  };
-  if (num_threads_ <= 1 || n < 2 * kPredictChunkRows) {
-    score_rows(0, n);
-  } else {
-    // Disjoint row chunks: no write overlap, and each row still sums its
-    // trees in index order, so the result matches the serial path bit for
-    // bit.
-    const size_t chunks = (n + kPredictChunkRows - 1) / kPredictChunkRows;
-    ThreadPool::Global().ParallelFor(
-        chunks,
-        [&](size_t c) {
-          const size_t begin = c * kPredictChunkRows;
-          score_rows(begin, std::min(n, begin + kPredictChunkRows));
-        },
-        num_threads_);
-  }
+  std::vector<double> raw(X.rows());
+  ForEachRowChunk(X.rows(), num_threads_, [&](size_t begin, size_t end) {
+    ForEachRow(X, begin, end,
+               [&](size_t i, const auto* row) { raw[i] = RawRow(row); });
+  });
   return raw;
 }
 
@@ -337,18 +293,12 @@ void GbdtModel::AccumulateProba(const Matrix& X, size_t row_begin, size_t row_en
   // chunked callers run one block per task), sigmoid the block in one batched
   // pass, then add. Keeps the sigmoid vectorized without touching `proba`'s
   // running sums.
-  const bool f32 = X.is_float32();
-  double scratch[kPredictChunkRows];
-  for (size_t start = row_begin; start < row_end; start += kPredictChunkRows) {
-    const size_t len = std::min(row_end - start, kPredictChunkRows);
-    if (f32) {
-      for (size_t j = 0; j < len; ++j) {
-        scratch[j] = PredictRawRowImpl(trees_, base_score_, learning_rate_,
-                                       X.RowF(start + j));
-      }
-    } else {
-      for (size_t j = 0; j < len; ++j) scratch[j] = PredictRawRow(X.Row(start + j));
-    }
+  double scratch[kTreeChunkRows];
+  for (size_t start = row_begin; start < row_end; start += kTreeChunkRows) {
+    const size_t len = std::min(row_end - start, kTreeChunkRows);
+    ForEachRow(X, start, start + len, [&](size_t i, const auto* row) {
+      scratch[i - start] = RawRow(row);
+    });
     SigmoidInPlace(scratch, len);
     for (size_t j = 0; j < len; ++j) proba[start + j] += scratch[j];
   }
@@ -398,7 +348,7 @@ std::unique_ptr<Classifier> GbdtTrainer::Fit(const Matrix& X,
   std::vector<double> raw(n, base_score);
   std::vector<double> grad(n);
   std::vector<double> hess(n);
-  std::vector<std::vector<GbdtTreeNode>> trees;
+  std::vector<TreeTable> trees;
   trees.reserve(options_.num_rounds);
 
   // Divergence recovery (DESIGN.md §8): a round whose tree makes any raw
@@ -413,30 +363,25 @@ std::unique_ptr<Classifier> GbdtTrainer::Fit(const Matrix& X,
       grad[i] = weights[i] * (p - (y[i] == 1 ? 1.0 : 0.0));
       hess[i] = weights[i] * std::max(p * (1.0 - p), 1e-12);
     }
-    std::vector<GbdtTreeNode> tree;
+    std::vector<TreeBuildNode> nodes;
     if (binned != nullptr) {
       GbdtHistTreeBuilder builder(X, grad, hess, options_, *binned);
-      tree = builder.Build();
+      nodes = builder.Build();
     } else {
       GbdtTreeBuilder builder(X, grad, hess, options_);
-      tree = builder.Build();
+      nodes = builder.Build();
     }
     if (backoff < 1.0) {
-      for (GbdtTreeNode& node : tree) node.value *= backoff;
+      for (TreeBuildNode& node : nodes) node.value *= backoff;
     }
+    // The round's score update walks the packed tree, like every predict.
+    TreeTable tree = PackTree(nodes);
     bool diverged = FaultInjector::ShouldFail(fault_sites::kGbdtRound);
     candidate_raw = raw;
-    if (X.is_float32()) {
-      for (size_t i = 0; i < n; ++i) {
-        candidate_raw[i] += options_.learning_rate * PredictTree(tree, X.RowF(i));
-        diverged = diverged || !std::isfinite(candidate_raw[i]);
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        candidate_raw[i] += options_.learning_rate * PredictTree(tree, X.Row(i));
-        diverged = diverged || !std::isfinite(candidate_raw[i]);
-      }
-    }
+    ForEachRow(X, 0, n, [&](size_t i, const auto* row) {
+      candidate_raw[i] += options_.learning_rate * tree.Leaf(0, row);
+      diverged = diverged || !std::isfinite(candidate_raw[i]);
+    });
     if (diverged) {
       if (retries >= options_.max_divergence_retries) {
         OF_LOG(Warning) << "gbdt: divergence persisted after " << retries
@@ -453,7 +398,7 @@ std::unique_ptr<Classifier> GbdtTrainer::Fit(const Matrix& X,
     raw.swap(candidate_raw);
     trees.push_back(std::move(tree));
   }
-  return std::make_unique<GbdtModel>(std::move(trees), base_score,
+  return std::make_unique<GbdtModel>(ConcatTrees(trees), base_score,
                                      options_.learning_rate, options_.num_threads);
 }
 

@@ -8,6 +8,7 @@
 
 #include "ml/binning.h"
 #include "ml/classifier.h"
+#include "ml/tree_table.h"
 
 namespace omnifair {
 
@@ -40,26 +41,17 @@ struct GbdtOptions {
   int num_threads = 1;
 };
 
-/// A regression tree over (gradient, hessian) statistics: internal nodes
-/// split on feature thresholds; leaves hold additive log-odds contributions.
-struct GbdtTreeNode {
-  bool is_leaf = true;
-  int feature = -1;
-  double threshold = 0.0;
-  int left = -1;
-  int right = -1;
-  double value = 0.0;  // leaf weight (log-odds delta)
-};
-
-/// An XGBoost-style boosted ensemble for binary classification.
+/// An XGBoost-style boosted ensemble for binary classification: regression
+/// trees over (gradient, hessian) statistics whose leaves hold additive
+/// log-odds contributions.
 class GbdtModel : public Classifier {
  public:
   /// `num_threads` parallelizes PredictProba/PredictRaw over disjoint row
   /// chunks on the shared pool (mirroring RandomForestModel); 1 keeps
   /// prediction fully sequential. Either way each row sums its trees in
   /// index order, so results are identical for any thread count.
-  GbdtModel(std::vector<std::vector<GbdtTreeNode>> trees, double base_score,
-            double learning_rate, int num_threads = 1);
+  GbdtModel(TreeTable trees, double base_score, double learning_rate,
+            int num_threads = 1);
 
   std::vector<double> PredictProba(const Matrix& X) const override;
   /// Per-row traversal straight into the output buffer — no temporary.
@@ -67,17 +59,18 @@ class GbdtModel : public Classifier {
                        std::vector<double>& proba) const override;
   std::string Name() const override { return "gbdt"; }
 
-  size_t NumTrees() const { return trees_.size(); }
-  const std::vector<std::vector<GbdtTreeNode>>& trees() const { return trees_; }
+  size_t NumTrees() const { return trees_.num_trees(); }
+  const TreeTable& table() const { return trees_; }
   double base_score() const { return base_score_; }
   double learning_rate() const { return learning_rate_; }
   /// Raw additive score (log-odds) per row.
   std::vector<double> PredictRaw(const Matrix& X) const;
 
  private:
-  double PredictRawRow(const double* row) const;
+  template <typename T>
+  double RawRow(const T* row) const;
 
-  std::vector<std::vector<GbdtTreeNode>> trees_;
+  TreeTable trees_;
   double base_score_;
   double learning_rate_;
   int num_threads_ = 1;

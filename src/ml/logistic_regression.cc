@@ -174,7 +174,7 @@ double BatchLossGradient(const Matrix& X, const std::vector<int>& y,
 
 }  // namespace
 
-LogisticRegressionModel::LogisticRegressionModel(std::vector<double> coefficients,
+LogisticRegressionModel::LogisticRegressionModel(ModelArray<double> coefficients,
                                                  double intercept)
     : coefficients_(std::move(coefficients)), intercept_(intercept) {}
 

@@ -50,16 +50,16 @@ struct LogisticRegressionOptions {
 /// A trained logistic regression model: p(y=1|x) = sigmoid(w.x + b).
 class LogisticRegressionModel : public Classifier {
  public:
-  LogisticRegressionModel(std::vector<double> coefficients, double intercept);
+  LogisticRegressionModel(ModelArray<double> coefficients, double intercept);
 
   std::vector<double> PredictProba(const Matrix& X) const override;
   std::string Name() const override { return "logistic_regression"; }
 
-  const std::vector<double>& coefficients() const { return coefficients_; }
+  const ModelArray<double>& coefficients() const { return coefficients_; }
   double intercept() const { return intercept_; }
 
  private:
-  std::vector<double> coefficients_;
+  ModelArray<double> coefficients_;
   double intercept_;
 };
 

@@ -82,30 +82,51 @@ double AccumulateLossGrad(const Matrix& X, const std::vector<int>& y,
   return loss;
 }
 
+/// The model over a flat parameter vector (layout as in MakeViews).
+std::unique_ptr<Classifier> ModelFromParams(const std::vector<double>& params,
+                                            size_t d, size_t h) {
+  const auto at = [&params](size_t offset) { return params.begin() + offset; };
+  return std::make_unique<MlpModel>(
+      std::vector<double>(at(0), at(h * d)),
+      std::vector<double>(at(h * d), at(h * d + h)),
+      std::vector<double>(at(h * d + h), at(h * d + 2 * h)), params[h * d + 2 * h]);
+}
+
 }  // namespace
 
-MlpModel::MlpModel(Matrix W1, std::vector<double> b1, std::vector<double> w2, double b2)
-    : W1_(std::move(W1)), b1_(std::move(b1)), w2_(std::move(w2)), b2_(b2) {}
+MlpModel::MlpModel(ModelArray<double> w1, ModelArray<double> b1,
+                   ModelArray<double> w2, double b2)
+    : w1_(std::move(w1)), b1_(std::move(b1)), w2_(std::move(w2)), b2_(b2) {
+  OF_CHECK(!b1_.empty() && w2_.size() == b1_.size() &&
+           w1_.size() % b1_.size() == 0);
+}
 
 std::vector<double> MlpModel::PredictProba(const Matrix& X) const {
-  OF_CHECK_EQ(X.cols(), W1_.cols());
+  const size_t d = input_dims();
+  const size_t h = hidden_units();
+  OF_CHECK_EQ(X.cols(), d);
   const size_t n = X.rows();
-  const size_t h = W1_.rows();
-  const bool f32 = X.is_float32();
   std::vector<double> proba(n);
   std::vector<double> hidden(h);  // one reused scratch row of activations
   const simd::Kernels& kernels = simd::Active();
   // Row-blocked batch predict: margins for a block of rows accumulate in the
   // output buffer, then one batched sigmoid pass per block while the block is
-  // still cache-hot. 256 rows of margins is 2 KB — comfortably L1.
+  // still cache-hot. 256 rows of margins is 2 KB — comfortably L1. The hidden
+  // layer runs one dot kernel per unit (dot_f32 takes the float row first).
   constexpr size_t kBlockRows = 256;
   for (size_t start = 0; start < n; start += kBlockRows) {
     const size_t end = std::min(n, start + kBlockRows);
     for (size_t i = start; i < end; ++i) {
-      if (f32) {
-        W1_.MatVecInto(X.RowF(i), hidden.data());
+      if (X.is_float32()) {
+        const float* row = X.RowF(i);
+        for (size_t j = 0; j < h; ++j) {
+          hidden[j] = kernels.dot_f32(row, w1_.data() + j * d, d);
+        }
       } else {
-        W1_.MatVecInto(X.Row(i), hidden.data());
+        const double* row = X.Row(i);
+        for (size_t j = 0; j < h; ++j) {
+          hidden[j] = kernels.dot(w1_.data() + j * d, row, d);
+        }
       }
       for (size_t j = 0; j < h; ++j) {
         const double z = hidden[j] + b1_[j];
@@ -234,14 +255,7 @@ std::unique_ptr<Classifier> MlpTrainer::Fit(const Matrix& X, const std::vector<i
 
   if (warm_start_) warm_params_ = params;
 
-  Views v = MakeViews(params, d, h);
-  Matrix W1(h, d);
-  for (size_t j = 0; j < h; ++j) {
-    for (size_t c = 0; c < d; ++c) W1(j, c) = v.W1[j * d + c];
-  }
-  std::vector<double> b1(v.b1, v.b1 + h);
-  std::vector<double> w2(v.w2, v.w2 + h);
-  return std::make_unique<MlpModel>(std::move(W1), std::move(b1), std::move(w2), *v.b2);
+  return ModelFromParams(params, d, h);
 }
 
 std::unique_ptr<Classifier> MlpTrainer::FitMiniBatch(
@@ -255,14 +269,7 @@ std::unique_ptr<Classifier> MlpTrainer::FitMiniBatch(
   const size_t num_batches = batch > 0 ? (n + batch - 1) / batch : 0;
   if (num_batches == 0) {
     // Degenerate empty input: return the untrained initialization.
-    Views v = MakeViews(params, d, h);
-    Matrix W1(h, d);
-    for (size_t j = 0; j < h; ++j) {
-      for (size_t c = 0; c < d; ++c) W1(j, c) = v.W1[j * d + c];
-    }
-    return std::make_unique<MlpModel>(std::move(W1),
-                                      std::vector<double>(v.b1, v.b1 + h),
-                                      std::vector<double>(v.w2, v.w2 + h), *v.b2);
+    return ModelFromParams(params, d, h);
   }
 
   std::vector<double> grad(p, 0.0);
@@ -358,14 +365,7 @@ std::unique_ptr<Classifier> MlpTrainer::FitMiniBatch(
 
   if (warm_start_) warm_params_ = params;
 
-  Views v = MakeViews(params, d, h);
-  Matrix W1(h, d);
-  for (size_t j = 0; j < h; ++j) {
-    for (size_t c = 0; c < d; ++c) W1(j, c) = v.W1[j * d + c];
-  }
-  std::vector<double> b1(v.b1, v.b1 + h);
-  std::vector<double> w2(v.w2, v.w2 + h);
-  return std::make_unique<MlpModel>(std::move(W1), std::move(b1), std::move(w2), *v.b2);
+  return ModelFromParams(params, d, h);
 }
 
 }  // namespace omnifair

@@ -40,20 +40,25 @@ struct MlpOptions {
 /// A trained one-hidden-layer MLP: p = sigmoid(w2 . relu(W1 x + b1) + b2).
 class MlpModel : public Classifier {
  public:
-  MlpModel(Matrix W1, std::vector<double> b1, std::vector<double> w2, double b2);
+  /// `w1` is W1 row-major (hidden x input); `b1` and `w2` have one entry per
+  /// hidden unit.
+  MlpModel(ModelArray<double> w1, ModelArray<double> b1, ModelArray<double> w2,
+           double b2);
 
   std::vector<double> PredictProba(const Matrix& X) const override;
   std::string Name() const override { return "mlp"; }
 
-  const Matrix& W1() const { return W1_; }
-  const std::vector<double>& b1() const { return b1_; }
-  const std::vector<double>& w2() const { return w2_; }
+  size_t hidden_units() const { return b1_.size(); }
+  size_t input_dims() const { return w1_.size() / b1_.size(); }
+  const ModelArray<double>& w1() const { return w1_; }
+  const ModelArray<double>& b1() const { return b1_; }
+  const ModelArray<double>& w2() const { return w2_; }
   double b2() const { return b2_; }
 
  private:
-  Matrix W1_;               // hidden x input
-  std::vector<double> b1_;  // hidden
-  std::vector<double> w2_;  // hidden
+  ModelArray<double> w1_;  // hidden x input, row-major
+  ModelArray<double> b1_;  // hidden
+  ModelArray<double> w2_;  // hidden
   double b2_;
 };
 

@@ -10,9 +10,9 @@
 
 namespace omnifair {
 
-NaiveBayesModel::NaiveBayesModel(double log_prior_ratio, std::vector<double> mean0,
-                                 std::vector<double> mean1, std::vector<double> var0,
-                                 std::vector<double> var1)
+NaiveBayesModel::NaiveBayesModel(double log_prior_ratio, ModelArray<double> mean0,
+                                 ModelArray<double> mean1, ModelArray<double> var0,
+                                 ModelArray<double> var1)
     : log_prior_ratio_(log_prior_ratio),
       mean0_(std::move(mean0)),
       mean1_(std::move(mean1)),

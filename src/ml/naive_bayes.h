@@ -20,25 +20,25 @@ struct NaiveBayesOptions {
 /// per-feature means and variances.
 class NaiveBayesModel : public Classifier {
  public:
-  NaiveBayesModel(double log_prior_ratio, std::vector<double> mean0,
-                  std::vector<double> mean1, std::vector<double> var0,
-                  std::vector<double> var1);
+  NaiveBayesModel(double log_prior_ratio, ModelArray<double> mean0,
+                  ModelArray<double> mean1, ModelArray<double> var0,
+                  ModelArray<double> var1);
 
   std::vector<double> PredictProba(const Matrix& X) const override;
   std::string Name() const override { return "naive_bayes"; }
 
   double log_prior_ratio() const { return log_prior_ratio_; }
-  const std::vector<double>& mean0() const { return mean0_; }
-  const std::vector<double>& mean1() const { return mean1_; }
-  const std::vector<double>& var0() const { return var0_; }
-  const std::vector<double>& var1() const { return var1_; }
+  const ModelArray<double>& mean0() const { return mean0_; }
+  const ModelArray<double>& mean1() const { return mean1_; }
+  const ModelArray<double>& var0() const { return var0_; }
+  const ModelArray<double>& var1() const { return var1_; }
 
  private:
   double log_prior_ratio_;  // log P(y=1) - log P(y=0)
-  std::vector<double> mean0_;
-  std::vector<double> mean1_;
-  std::vector<double> var0_;
-  std::vector<double> var1_;
+  ModelArray<double> mean0_;
+  ModelArray<double> mean1_;
+  ModelArray<double> var0_;
+  ModelArray<double> var1_;
 };
 
 /// Weighted Gaussian naive Bayes. A deliberately different model family

@@ -11,40 +11,21 @@
 
 namespace omnifair {
 
-namespace {
-// Rows per PredictProba task: large enough to amortize scheduling, small
-// enough to load-balance across workers on bench-sized datasets.
-constexpr size_t kPredictChunkRows = 256;
-}  // namespace
-
-RandomForestModel::RandomForestModel(std::vector<std::unique_ptr<Classifier>> trees,
-                                     int num_threads)
+RandomForestModel::RandomForestModel(TreeTable trees, int num_threads)
     : trees_(std::move(trees)), num_threads_(std::max(1, num_threads)) {
-  OF_CHECK(!trees_.empty());
+  OF_CHECK_GT(trees_.num_trees(), 0u);
 }
 
 std::vector<double> RandomForestModel::PredictProba(const Matrix& X) const {
-  const size_t n = X.rows();
-  std::vector<double> proba(n, 0.0);
-  auto accumulate_rows = [&](size_t begin, size_t end) {
-    for (const auto& tree : trees_) tree->AccumulateProba(X, begin, end, proba);
-  };
-  if (num_threads_ <= 1 || n < 2 * kPredictChunkRows) {
-    accumulate_rows(0, n);
-  } else {
-    // Disjoint row chunks: no write overlap, and each row still sums its
-    // trees in index order, so the result matches the serial path bit for
-    // bit.
-    const size_t chunks = (n + kPredictChunkRows - 1) / kPredictChunkRows;
-    ThreadPool::Global().ParallelFor(
-        chunks,
-        [&](size_t c) {
-          const size_t begin = c * kPredictChunkRows;
-          accumulate_rows(begin, std::min(n, begin + kPredictChunkRows));
-        },
-        num_threads_);
-  }
-  const double inv = 1.0 / static_cast<double>(trees_.size());
+  std::vector<double> proba(X.rows(), 0.0);
+  ForEachRowChunk(X.rows(), num_threads_, [&](size_t begin, size_t end) {
+    for (size_t t = 0; t < trees_.num_trees(); ++t) {
+      ForEachRow(X, begin, end, [&](size_t i, const auto* row) {
+        proba[i] += trees_.Leaf(t, row);
+      });
+    }
+  });
+  const double inv = 1.0 / static_cast<double>(trees_.num_trees());
   for (double& p : proba) p *= inv;
   return proba;
 }
@@ -90,7 +71,7 @@ std::unique_ptr<Classifier> RandomForestTrainer::Fit(
     binned = bin_cache_->GetOrBuild(X, options_.max_bins, options_.num_threads);
   }
 
-  std::vector<std::unique_ptr<Classifier>> trees(options_.num_trees);
+  std::vector<TreeTable> trees(options_.num_trees);
   auto build_tree = [&](int t) {
     Rng tree_rng(bootstrap_seeds[t]);
     // Bootstrap counts via n draws with replacement.
@@ -112,7 +93,7 @@ std::unique_ptr<Classifier> RandomForestTrainer::Fit(
     tree_options.num_threads = 1;
     DecisionTreeTrainer tree_trainer(tree_options);
     if (binned != nullptr) tree_trainer.SetBinnedMatrix(binned);
-    trees[t] = tree_trainer.Fit(X, y, boot_weights);
+    trees[t] = tree_trainer.FitTable(X, y, boot_weights);
   };
 
   const int num_threads = std::max(1, std::min(options_.num_threads,
@@ -124,7 +105,7 @@ std::unique_ptr<Classifier> RandomForestTrainer::Fit(
         static_cast<size_t>(options_.num_trees),
         [&](size_t t) { build_tree(static_cast<int>(t)); }, num_threads);
   }
-  return std::make_unique<RandomForestModel>(std::move(trees),
+  return std::make_unique<RandomForestModel>(ConcatTrees(trees),
                                              options_.num_threads);
 }
 

@@ -40,17 +40,16 @@ class RandomForestModel : public Classifier {
   /// shared pool; 1 keeps prediction fully sequential. Either way every row's
   /// probability sums the trees in index order, so results are identical for
   /// any thread count.
-  explicit RandomForestModel(std::vector<std::unique_ptr<Classifier>> trees,
-                             int num_threads = 1);
+  explicit RandomForestModel(TreeTable trees, int num_threads = 1);
 
   std::vector<double> PredictProba(const Matrix& X) const override;
   std::string Name() const override { return "random_forest"; }
 
-  size_t NumTrees() const { return trees_.size(); }
-  const std::vector<std::unique_ptr<Classifier>>& trees() const { return trees_; }
+  size_t NumTrees() const { return trees_.num_trees(); }
+  const TreeTable& table() const { return trees_; }
 
  private:
-  std::vector<std::unique_ptr<Classifier>> trees_;
+  TreeTable trees_;
   int num_threads_ = 1;
 };
 

@@ -22,8 +22,8 @@ namespace omnifair {
 // requests against it: each request carries a matrix of encoded rows plus an
 // optional group id per row; the response carries per-row scores/labels and
 // per-group positive rates so fairness can be monitored live. Batches run
-// through the flat in-place model (which shards rows across the global
-// thread pool), so a request's scores are bit-identical to the offline
+// through the family's model class over the bundle image (MakeModel; it
+// shards rows across the global thread pool), so a request's scores are bit-identical to the offline
 // model at every thread count.
 //
 // Admission control is a bounded in-flight counter: Submit() rejects with

@@ -1,6 +1,6 @@
 // Chaos + parity suite for versioned binary model bundles (DESIGN.md §15):
-// bit-identical flat predict across every model family / storage mode /
-// thread count, wire-format inspection, and fault-injected corruption
+// bit-identical predict from the bundle image across every model family /
+// storage mode / thread count, wire-format inspection, and fault-injected corruption
 // (truncation, bit flips, the io.corrupt_read site) always failing with
 // typed statuses.
 
@@ -13,6 +13,8 @@
 #include <memory>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -39,8 +41,12 @@ namespace {
 
 using testing_fairness::MakeBiasedDataset;
 
+/// A fresh path under the test temp dir, unique to this process: the suite
+/// also runs as test_bundle_scalar, possibly at the same time, and several
+/// cases rewrite their files in place.
 std::string TempPath(const std::string& name) {
-  const std::string path = ::testing::TempDir() + "/" + name;
+  const std::string path = ::testing::TempDir() + "/" +
+                           std::to_string(::getpid()) + "_" + name;
   std::remove(path.c_str());
   return path;
 }
@@ -90,32 +96,24 @@ class BundleTest : public ::testing::Test {
     return bundle.ok() ? *bundle : nullptr;
   }
 
-  /// PredictProba of `model`, the bundle's flat model and its decoded model
-  /// must agree bit for bit on double and float32 feature storage (flat
-  /// models at 1 and 4 predict threads), and the decoded model must encode
-  /// to the same bundle bytes as `model`.
+  /// The bundle's model (MakeModel, at 1 and 4 predict threads) must be
+  /// `model`'s own class, agree with `model`'s PredictProba bit for bit on
+  /// double and float32 feature storage, and encode to the same bundle bytes
+  /// as `model`.
   void ExpectBitIdentical(const Classifier& model, const ModelBundle& bundle) {
     const Matrix Xf = X_.ToFloat32();
     const std::vector<double> want64 = model.PredictProba(X_);
     const std::vector<double> want32 = model.PredictProba(Xf);
-    std::unique_ptr<Classifier> decoded = bundle.DecodeModel();
-    ASSERT_NE(decoded, nullptr);
-    EXPECT_EQ(decoded->Name(), model.Name());
-    EXPECT_EQ(decoded->PredictProba(X_), want64) << model.Name() << " decoded f64";
-    EXPECT_EQ(decoded->PredictProba(Xf), want32) << model.Name() << " decoded f32";
     Result<std::vector<uint8_t>> original =
         EncodeBundle(model, encoder_, bundle.meta());
-    Result<std::vector<uint8_t>> again =
-        EncodeBundle(*decoded, bundle.encoder(), bundle.meta());
     ASSERT_TRUE(original.ok()) << original.status();
-    ASSERT_TRUE(again.ok()) << again.status();
-    EXPECT_TRUE(*again == *original) << model.Name() << " re-encode differs";
     for (int threads : {1, 4}) {
-      std::unique_ptr<Classifier> flat = bundle.MakeModel(threads);
-      ASSERT_NE(flat, nullptr);
-      EXPECT_EQ(flat->Name(), model.Name());
-      const std::vector<double> got64 = flat->PredictProba(X_);
-      const std::vector<double> got32 = flat->PredictProba(Xf);
+      std::unique_ptr<Classifier> loaded = bundle.MakeModel(threads);
+      ASSERT_NE(loaded, nullptr);
+      EXPECT_EQ(typeid(*loaded), typeid(model)) << model.Name();
+      EXPECT_EQ(loaded->Name(), model.Name());
+      const std::vector<double> got64 = loaded->PredictProba(X_);
+      const std::vector<double> got32 = loaded->PredictProba(Xf);
       ASSERT_EQ(got64.size(), want64.size());
       for (size_t i = 0; i < want64.size(); ++i) {
         EXPECT_EQ(got64[i], want64[i])
@@ -123,6 +121,10 @@ class BundleTest : public ::testing::Test {
         EXPECT_EQ(got32[i], want32[i])
             << model.Name() << " f32 row " << i << " threads " << threads;
       }
+      Result<std::vector<uint8_t>> again =
+          EncodeBundle(*loaded, bundle.encoder(), bundle.meta());
+      ASSERT_TRUE(again.ok()) << again.status();
+      EXPECT_TRUE(*again == *original) << model.Name() << " re-encode differs";
     }
   }
 
@@ -162,7 +164,7 @@ class BundleTest : public ::testing::Test {
 };
 
 // ---------------------------------------------------------------------------
-// Flat predict parity, per family
+// Predict parity from the bundle image, per family
 // ---------------------------------------------------------------------------
 
 TEST_F(BundleTest, LogisticRegressionRoundTripIsBitIdentical) {
@@ -263,25 +265,25 @@ TEST_F(BundleTest, ScoresDoNotDependOnBatchPosition) {
     ExpectBatchPositionIndependent(*model, name);
     auto bundle = RoundTrip(*model, name + "_position.ofb");
     ASSERT_NE(bundle, nullptr) << name;
-    ExpectBatchPositionIndependent(*bundle->MakeModel(), name + " flat");
+    ExpectBatchPositionIndependent(*bundle->MakeModel(), name + " loaded");
   }
 }
 
 TEST_F(BundleTest, AccumulateProbaMatchesPointerModels) {
-  // Serving shards via AccumulateProba too (RF members); flat DT/GBDT must
-  // match the pointer models' accumulate path bit for bit, including the
-  // GBDT per-block sigmoid boundaries (offset slice starts mid-block).
+  // Serving shards via AccumulateProba too; the GBDT over the bundle image
+  // must match the trained model's accumulate path bit for bit, including
+  // the per-block sigmoid boundaries (offset slice starts mid-block).
   GbdtOptions options;
   options.num_rounds = 8;
   auto gbdt = GbdtTrainer(options).Fit(X_, y_, weights_);
   ASSERT_NE(gbdt, nullptr);
   auto bundle = RoundTrip(*gbdt, "gbdt_acc.ofb");
   ASSERT_NE(bundle, nullptr);
-  auto flat = bundle->MakeModel();
+  auto loaded = bundle->MakeModel();
   std::vector<double> want(X_.rows(), 0.125);
   std::vector<double> got(X_.rows(), 0.125);
   gbdt->AccumulateProba(X_, 3, X_.rows() - 5, want);
-  flat->AccumulateProba(X_, 3, X_.rows() - 5, got);
+  loaded->AccumulateProba(X_, 3, X_.rows() - 5, got);
   for (size_t i = 0; i < want.size(); ++i) EXPECT_EQ(got[i], want[i]) << i;
 }
 
@@ -366,6 +368,32 @@ TEST_F(BundleTest, ModelsKeepTheBundleAlive) {
   bundle.reset();  // flat model holds the last reference to the mapping
   const std::vector<double> after = flat->PredictProba(X_);
   for (size_t i = 0; i < before.size(); ++i) EXPECT_EQ(after[i], before[i]);
+}
+
+TEST_F(BundleTest, LoadedFairModelDoesNotDependOnItsFile) {
+  // LoadFairModel reads the file into memory: rewriting the file in place
+  // (same inode, truncated first, so a mapping of it would see the new bytes
+  // or fault past its new end) must not change what the loaded model scores.
+  const Matrix Xf = X_.ToFloat32();
+  for (const char* name : {"lr", "xgb", "rf", "nn"}) {
+    FairModel fair;
+    fair.model = MakeTrainer(name, 3)->Fit(X_, y_, weights_);
+    fair.encoder = encoder_;
+    const std::string path = TempPath(std::string("rewrite_") + name + ".ofb");
+    ASSERT_TRUE(SaveFairModel(fair, path).ok()) << name;
+    auto loaded = LoadFairModel(path);
+    ASSERT_TRUE(loaded.ok()) << name << ": " << loaded.status();
+
+    std::vector<uint8_t> other = ReadFile(path);
+    for (size_t i = other.size() / 4; i < other.size(); ++i) other[i] ^= 0x5a;
+    WriteFile(path, {});  // truncate in place
+    WriteFile(path, std::vector<uint8_t>(other.begin(),
+                                         other.begin() + other.size() / 2));
+    EXPECT_EQ(loaded->model->PredictProba(X_), fair.model->PredictProba(X_))
+        << name;
+    EXPECT_EQ(loaded->model->PredictProba(Xf), fair.model->PredictProba(Xf))
+        << name;
+  }
 }
 
 TEST_F(BundleTest, WriteGoesThroughTheDurablePublishPath) {

@@ -3,8 +3,11 @@
 // flips, section-table offset/size edits, counts near 2^63, truncation and
 // extension; the CRC trailer is recomputed after every mutation so the
 // structural checks run instead of the CRC check. Every image must either
-// fail Open with kDataLoss / kInvalidArgument, or yield a flat model and a
-// decoded model that score a probe matrix bit for bit alike.
+// fail Open with kDataLoss / kInvalidArgument, or yield a model that passes
+// two independent checks: for the tree families, a plainly written,
+// bounds-checked walk over the model's node tables reproduces its scores bit
+// for bit; for every family, encoding the model and opening the new image
+// gives a model that scores the probe bit for bit alike.
 
 #include <cmath>
 #include <cstring>
@@ -20,6 +23,7 @@
 #include "ml/gbdt.h"
 #include "ml/mlp.h"
 #include "ml/random_forest.h"
+#include "ml/tree_table.h"
 #include "ml/trainer_registry.h"
 #include "tests/testing_fairness.h"
 #include "util/random.h"
@@ -184,9 +188,96 @@ bool SameScores(const std::vector<double>& a, const std::vector<double>& b) {
   return true;
 }
 
+/// The leaf value tree `t` of `table` routes `row` to, by a walk written
+/// independently of TreeTable::Leaf that bounds-checks every node and
+/// feature index before reading it. False when the tables would send a walk
+/// out of its tree, past the row, or around a cycle.
+template <typename T>
+bool ReferenceLeaf(const TreeTable& table, size_t t, const T* row, size_t cols,
+                   double* leaf) {
+  const size_t nodes = table.feature.size();
+  if (table.threshold.size() != nodes || table.left_child.size() != nodes ||
+      table.leaf_value.size() != nodes || t + 1 >= table.offsets.size()) {
+    return false;
+  }
+  const uint64_t begin = table.offsets[t];
+  const uint64_t end = table.offsets[t + 1];
+  if (begin >= end || end > nodes) return false;
+  const uint64_t count = end - begin;
+  uint64_t i = 0;
+  for (uint64_t steps = 0; steps < count; ++steps) {
+    const int32_t feature = table.feature[begin + i];
+    if (feature < 0) {
+      *leaf = table.leaf_value[begin + i];
+      return true;
+    }
+    if (static_cast<size_t>(feature) >= cols) return false;
+    const int64_t left = table.left_child[begin + i];
+    const int64_t next =
+        static_cast<double>(row[feature]) <= table.threshold[begin + i] ? left
+                                                                       : left + 1;
+    if (next < 0 || static_cast<uint64_t>(next) >= count) return false;
+    i = static_cast<uint64_t>(next);
+  }
+  return false;
+}
+
+/// Reference scores of a tree-family model over X's rows: a decision tree's
+/// leaf, a forest's leaf mean (summed in tree order, then scaled), or a
+/// GBDT's raw score (base + learning rate x leaf, in tree order). Fails the
+/// test when any walk would leave the tables.
+template <typename T>
+std::vector<double> ReferenceTreeScores(const Classifier& model,
+                                        const Matrix& X,
+                                        const T* (Matrix::*row_of)(size_t) const) {
+  const TreeTable* table = nullptr;
+  double base = 0.0;
+  double scale = 1.0;
+  bool mean = false;
+  if (const auto* dt = dynamic_cast<const DecisionTreeModel*>(&model)) {
+    table = &dt->table();
+  } else if (const auto* rf = dynamic_cast<const RandomForestModel*>(&model)) {
+    table = &rf->table();
+    mean = true;
+  } else if (const auto* gbdt = dynamic_cast<const GbdtModel*>(&model)) {
+    table = &gbdt->table();
+    base = gbdt->base_score();
+    scale = gbdt->learning_rate();
+  }
+  std::vector<double> scores(X.rows());
+  if (table == nullptr || table->offsets.size() < 2) {
+    ADD_FAILURE() << model.Name() << " has no node tables";
+    return scores;
+  }
+  const size_t num_trees = table->offsets.size() - 1;
+  for (size_t r = 0; r < X.rows(); ++r) {
+    double score = base;
+    for (size_t t = 0; t < num_trees; ++t) {
+      double leaf = 0.0;
+      if (!ReferenceLeaf(*table, t, (X.*row_of)(r), X.cols(), &leaf)) {
+        ADD_FAILURE() << model.Name() << " tree " << t
+                      << " walks out of its node tables";
+        return {};
+      }
+      score += mean ? leaf : scale * leaf;
+    }
+    scores[r] = mean ? score * (1.0 / static_cast<double>(num_trees)) : score;
+  }
+  return scores;
+}
+
+/// The scores ReferenceTreeScores reproduces: PredictProba, or a GBDT's raw
+/// score.
+std::vector<double> TreeScores(const Classifier& model, const Matrix& X) {
+  if (const auto* gbdt = dynamic_cast<const GbdtModel*>(&model)) {
+    return gbdt->PredictRaw(X);
+  }
+  return model.PredictProba(X);
+}
+
 class BundleFuzzTest : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(BundleFuzzTest, MutatedImagesFailTypedOrDecodeConsistently) {
+TEST_P(BundleFuzzTest, MutatedImagesFailTypedOrScoreConsistently) {
   const Dataset data = MakeBiasedDataset(240, 0.7, 0.3, /*seed=*/21);
   FeatureEncoder encoder;
   const Matrix X = encoder.FitTransform(data);
@@ -223,6 +314,7 @@ TEST_P(BundleFuzzTest, MutatedImagesFailTypedOrDecodeConsistently) {
   Result<std::vector<uint8_t>> valid = EncodeBundle(*model, encoder, meta);
   ASSERT_TRUE(valid.ok()) << valid.status();
 
+  const bool tree_family = family == "dt" || family == "rf" || family == "xgb";
   Rng rng(0x0f0b0d00 + family.size() * 131 + static_cast<uint64_t>(family[0]));
   int opened = 0;
   for (int m = 0; m < kMutationsPerFamily; ++m) {
@@ -239,19 +331,36 @@ TEST_P(BundleFuzzTest, MutatedImagesFailTypedOrDecodeConsistently) {
     const Matrix probe =
         ProbeMatrix(static_cast<size_t>((*bundle)->meta().num_features), rng);
     const Matrix probe32 = probe.ToFloat32();
-    const std::unique_ptr<Classifier> flat = (*bundle)->MakeModel();
-    const std::unique_ptr<Classifier> decoded = (*bundle)->DecodeModel();
-    ASSERT_NE(flat, nullptr);
-    ASSERT_NE(decoded, nullptr);
-    EXPECT_EQ(flat->Name(), decoded->Name());
-    ASSERT_TRUE(SameScores(flat->PredictProba(probe), decoded->PredictProba(probe)))
-        << family << " mutation " << m << " (f64 rows)";
+    const std::unique_ptr<Classifier> loaded = (*bundle)->MakeModel();
+    ASSERT_NE(loaded, nullptr);
+    if (tree_family) {
+      // The reference walk runs first, so a table that would send the
+      // model's own walk out of bounds fails here instead of reading there.
+      const std::vector<double> want = ReferenceTreeScores(*loaded, probe, &Matrix::Row);
+      ASSERT_FALSE(want.empty()) << family << " mutation " << m << " (f64 rows)";
+      const std::vector<double> want32 =
+          ReferenceTreeScores(*loaded, probe32, &Matrix::RowF);
+      ASSERT_FALSE(want32.empty()) << family << " mutation " << m << " (f32 rows)";
+      ASSERT_TRUE(SameScores(TreeScores(*loaded, probe), want))
+          << family << " mutation " << m << " (f64 rows)";
+      ASSERT_TRUE(SameScores(TreeScores(*loaded, probe32), want32))
+          << family << " mutation " << m << " (f32 rows)";
+    }
+    Result<std::vector<uint8_t>> again =
+        EncodeBundle(*loaded, (*bundle)->encoder(), (*bundle)->meta());
+    ASSERT_TRUE(again.ok()) << family << " mutation " << m << ": " << again.status();
+    auto reopened = ModelBundle::Open(std::move(*again));
+    ASSERT_TRUE(reopened.ok())
+        << family << " mutation " << m << ": " << reopened.status();
+    const std::unique_ptr<Classifier> round_trip = (*reopened)->MakeModel();
+    ASSERT_TRUE(SameScores(round_trip->PredictProba(probe), loaded->PredictProba(probe)))
+        << family << " mutation " << m << " round trip (f64 rows)";
     ASSERT_TRUE(
-        SameScores(flat->PredictProba(probe32), decoded->PredictProba(probe32)))
-        << family << " mutation " << m << " (f32 rows)";
+        SameScores(round_trip->PredictProba(probe32), loaded->PredictProba(probe32)))
+        << family << " mutation " << m << " round trip (f32 rows)";
   }
   // Some mutations (a flipped leaf value, padding past the last payload)
-  // must leave a loadable image, or the decode comparison never ran.
+  // must leave a loadable image, or the checks above never ran.
   EXPECT_GT(opened, 0) << family;
 }
 

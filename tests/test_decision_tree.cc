@@ -11,30 +11,17 @@ namespace omnifair {
 namespace {
 
 using testing_data::Blobs;
+using testing_data::ExpectSameTables;
 using testing_data::MakeBlobs;
 using testing_data::MakeXor;
 using testing_data::TrainAccuracy;
 
-std::vector<DecisionTreeModel::Node> FitNodes(const Blobs& blobs,
-                                              const DecisionTreeOptions& options) {
+TreeTable FitTable(const Blobs& blobs, const DecisionTreeOptions& options) {
   DecisionTreeTrainer trainer(options);
   const auto model = trainer.Fit(blobs.X, blobs.y, blobs.unit_weights);
   const auto* tree = dynamic_cast<const DecisionTreeModel*>(model.get());
   EXPECT_NE(tree, nullptr);
-  return tree->nodes();
-}
-
-void ExpectSameNodes(const std::vector<DecisionTreeModel::Node>& a,
-                     const std::vector<DecisionTreeModel::Node>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].is_leaf, b[i].is_leaf) << "node " << i;
-    EXPECT_EQ(a[i].feature, b[i].feature) << "node " << i;
-    EXPECT_EQ(a[i].threshold, b[i].threshold) << "node " << i;
-    EXPECT_EQ(a[i].left, b[i].left) << "node " << i;
-    EXPECT_EQ(a[i].right, b[i].right) << "node " << i;
-    EXPECT_EQ(a[i].probability, b[i].probability) << "node " << i;
-  }
+  return tree->table();
 }
 
 TEST(DecisionTreeTest, LearnsXor) {
@@ -122,8 +109,9 @@ TEST(DecisionTreeHistogramTest, LearnsXor) {
 }
 
 TEST(DecisionTreeHistogramTest, ThreadCountDoesNotChangeTree) {
-  // Determinism contract (DESIGN.md §11): same seed => bit-identical nodes
-  // at 1 and N threads, because every per-feature fill is a serial scan.
+  // Determinism contract (DESIGN.md §11): same seed => bit-identical node
+  // tables at 1 and N threads, because every per-feature fill is a serial
+  // scan.
   const Blobs blobs = MakeBlobs(4000, 0.8, 9);
   DecisionTreeOptions serial;
   serial.split_method = SplitMethod::kHistogram;
@@ -131,7 +119,7 @@ TEST(DecisionTreeHistogramTest, ThreadCountDoesNotChangeTree) {
   serial.num_threads = 1;
   DecisionTreeOptions parallel = serial;
   parallel.num_threads = 4;
-  ExpectSameNodes(FitNodes(blobs, serial), FitNodes(blobs, parallel));
+  ExpectSameTables(FitTable(blobs, serial), FitTable(blobs, parallel));
 }
 
 TEST(DecisionTreeHistogramTest, MatchesExactAccuracyOnSyntheticAdult) {

@@ -12,34 +12,17 @@ namespace omnifair {
 namespace {
 
 using testing_data::Blobs;
+using testing_data::ExpectSameTables;
 using testing_data::MakeBlobs;
 using testing_data::MakeXor;
 using testing_data::TrainAccuracy;
 
-std::vector<std::vector<GbdtTreeNode>> FitTrees(const Blobs& blobs,
-                                                const GbdtOptions& options) {
+TreeTable FitTable(const Blobs& blobs, const GbdtOptions& options) {
   GbdtTrainer trainer(options);
   const auto model = trainer.Fit(blobs.X, blobs.y, blobs.unit_weights);
   const auto* gbdt = dynamic_cast<const GbdtModel*>(model.get());
   EXPECT_NE(gbdt, nullptr);
-  return gbdt->trees();
-}
-
-void ExpectSameTrees(const std::vector<std::vector<GbdtTreeNode>>& a,
-                     const std::vector<std::vector<GbdtTreeNode>>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t t = 0; t < a.size(); ++t) {
-    ASSERT_EQ(a[t].size(), b[t].size()) << "tree " << t;
-    for (size_t i = 0; i < a[t].size(); ++i) {
-      EXPECT_EQ(a[t][i].is_leaf, b[t][i].is_leaf) << "tree " << t << " node " << i;
-      EXPECT_EQ(a[t][i].feature, b[t][i].feature) << "tree " << t << " node " << i;
-      EXPECT_EQ(a[t][i].threshold, b[t][i].threshold)
-          << "tree " << t << " node " << i;
-      EXPECT_EQ(a[t][i].left, b[t][i].left) << "tree " << t << " node " << i;
-      EXPECT_EQ(a[t][i].right, b[t][i].right) << "tree " << t << " node " << i;
-      EXPECT_EQ(a[t][i].value, b[t][i].value) << "tree " << t << " node " << i;
-    }
-  }
+  return gbdt->table();
 }
 
 TEST(GbdtTest, LearnsXor) {
@@ -126,8 +109,8 @@ TEST(GbdtHistogramTest, LearnsXor) {
 }
 
 TEST(GbdtHistogramTest, ThreadCountDoesNotChangeEnsemble) {
-  // Determinism contract (DESIGN.md §11): same seed => bit-identical trees
-  // at 1 and N threads.
+  // Determinism contract (DESIGN.md §11): same seed => bit-identical node
+  // tables at 1 and N threads.
   const Blobs blobs = MakeBlobs(4000, 0.8, 10);
   GbdtOptions serial;
   serial.split_method = SplitMethod::kHistogram;
@@ -136,7 +119,7 @@ TEST(GbdtHistogramTest, ThreadCountDoesNotChangeEnsemble) {
   serial.num_threads = 1;
   GbdtOptions parallel = serial;
   parallel.num_threads = 4;
-  ExpectSameTrees(FitTrees(blobs, serial), FitTrees(blobs, parallel));
+  ExpectSameTables(FitTable(blobs, serial), FitTable(blobs, parallel));
 }
 
 TEST(GbdtHistogramTest, ParallelPredictMatchesSerial) {
@@ -148,7 +131,7 @@ TEST(GbdtHistogramTest, ParallelPredictMatchesSerial) {
   const auto* serial = dynamic_cast<const GbdtModel*>(model.get());
   ASSERT_NE(serial, nullptr);
   // Same trees, prediction chunked over 4 workers: must match bit for bit.
-  GbdtModel parallel(serial->trees(), serial->base_score(),
+  GbdtModel parallel(serial->table(), serial->base_score(),
                      serial->learning_rate(), /*num_threads=*/4);
   EXPECT_EQ(serial->PredictProba(blobs.X), parallel.PredictProba(blobs.X));
   std::vector<double> acc_serial(blobs.X.rows(), 0.0);

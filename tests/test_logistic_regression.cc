@@ -26,7 +26,7 @@ using testing_data::TrainAccuracy;
 /// [coefficients..., intercept] of a fitted model.
 std::vector<double> ThetaOf(const Classifier& model) {
   const auto& lr = static_cast<const LogisticRegressionModel&>(model);
-  std::vector<double> theta = lr.coefficients();
+  std::vector<double> theta(lr.coefficients().begin(), lr.coefficients().end());
   theta.push_back(lr.intercept());
   return theta;
 }
@@ -372,7 +372,7 @@ TEST(LogisticRegressionSgdTest, MiniBatchBacksOffOnInjectedDivergence) {
 }
 
 TEST(LogisticRegressionModelTest, CoefficientsExposed) {
-  LogisticRegressionModel model({1.0, -1.0}, 0.5);
+  LogisticRegressionModel model(std::vector<double>{1.0, -1.0}, 0.5);
   EXPECT_EQ(model.coefficients().size(), 2u);
   EXPECT_DOUBLE_EQ(model.intercept(), 0.5);
   Matrix X = {{0.0, 0.0}};

@@ -90,11 +90,8 @@ TEST(MlpSgdTest, BatchSizeZeroIsBitIdenticalToFullBatch) {
     EXPECT_EQ(na.w2()[i], nb.w2()[i]);
   }
   EXPECT_EQ(na.b2(), nb.b2());
-  for (size_t r = 0; r < na.W1().rows(); ++r) {
-    for (size_t c = 0; c < na.W1().cols(); ++c) {
-      EXPECT_EQ(na.W1()(r, c), nb.W1()(r, c));
-    }
-  }
+  ASSERT_EQ(na.w1().size(), nb.w1().size());
+  for (size_t i = 0; i < na.w1().size(); ++i) EXPECT_EQ(na.w1()[i], nb.w1()[i]);
 }
 
 TEST(MlpSgdTest, MiniBatchLearnsSeparableData) {

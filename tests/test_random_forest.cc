@@ -101,11 +101,12 @@ TEST(RandomForestHistogramTest, ThreadCountDoesNotChangeForest) {
   serial.num_threads = 1;
   RandomForestOptions parallel = serial;
   parallel.num_threads = 4;
-  RandomForestTrainer a(serial);
-  RandomForestTrainer b(parallel);
-  const auto pa = a.Fit(blobs.X, blobs.y, blobs.unit_weights)->PredictProba(blobs.X);
-  const auto pb = b.Fit(blobs.X, blobs.y, blobs.unit_weights)->PredictProba(blobs.X);
-  EXPECT_EQ(pa, pb);
+  const auto ma = RandomForestTrainer(serial).Fit(blobs.X, blobs.y, blobs.unit_weights);
+  const auto mb =
+      RandomForestTrainer(parallel).Fit(blobs.X, blobs.y, blobs.unit_weights);
+  testing_data::ExpectSameTables(static_cast<const RandomForestModel&>(*ma).table(),
+                                 static_cast<const RandomForestModel&>(*mb).table());
+  EXPECT_EQ(ma->PredictProba(blobs.X), mb->PredictProba(blobs.X));
 }
 
 TEST(RandomForestHistogramTest, CloseToExactAccuracy) {

@@ -3,9 +3,12 @@
 
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "linalg/matrix.h"
 #include "ml/classifier.h"
 #include "ml/metrics.h"
+#include "ml/tree_table.h"
 #include "util/random.h"
 
 namespace omnifair {
@@ -53,6 +56,22 @@ inline Blobs MakeXor(size_t n, uint64_t seed) {
 
 inline double TrainAccuracy(const Classifier& model, const Blobs& blobs) {
   return Accuracy(blobs.y, model.Predict(blobs.X));
+}
+
+/// Expects two fitted node tables to match field by field: the tree offsets,
+/// then every node's feature, threshold, left child and leaf value.
+inline void ExpectSameTables(const TreeTable& a, const TreeTable& b) {
+  ASSERT_EQ(a.num_trees(), b.num_trees());
+  for (size_t t = 0; t <= a.num_trees(); ++t) {
+    EXPECT_EQ(a.offsets[t], b.offsets[t]) << "offset " << t;
+  }
+  ASSERT_EQ(a.num_nodes(), b.num_nodes());
+  for (size_t i = 0; i < a.num_nodes(); ++i) {
+    EXPECT_EQ(a.feature[i], b.feature[i]) << "node " << i;
+    EXPECT_EQ(a.threshold[i], b.threshold[i]) << "node " << i;
+    EXPECT_EQ(a.left_child[i], b.left_child[i]) << "node " << i;
+    EXPECT_EQ(a.leaf_value[i], b.leaf_value[i]) << "node " << i;
+  }
 }
 
 }  // namespace testing_data

@@ -61,8 +61,7 @@ PER_BENCH_SECTIONS = {
     },
     "serving": {
         "bundle_load": ["fit_seconds", "bundle_load_seconds",
-                        "owned_load_seconds", "decode_load_seconds",
-                        "bundle_bytes"],
+                        "owned_load_seconds", "bundle_bytes"],
         "serving_closed": ["batch_rows", "requests", "rows", "qps",
                            "p50_us", "p99_us"],
         "serving_open": ["max_in_flight", "offered", "completed",
@@ -74,7 +73,8 @@ PER_BENCH_SECTIONS = {
                               "spill_bytes", "peak_rss_mb"],
         "lambda_tune": ["rows", "full_batch_seconds", "minibatch_seconds",
                         "speedup", "full_batch_accuracy",
-                        "minibatch_accuracy", "peak_rss_mb"],
+                        "minibatch_accuracy", "full_batch_peak_rss_mb",
+                        "minibatch_peak_rss_mb"],
     },
     # The in-process scalar-vs-active kernel comparison is emitted once per
     # run regardless of --benchmark_filter; *_speedup fields are added only

@@ -480,7 +480,7 @@ int RunBundle(const Args& args) {
 }
 
 /// Single-encode batch scoring: parse the CSV once, encode once, predict
-/// with the bundle's flat model. (`audit` re-derives groups and constraint
+/// with the bundle's model. (`audit` re-derives groups and constraint
 /// metrics; this path is for raw deployment scoring.)
 int RunPredict(const Args& args) {
   if (!args.Has("data") || !args.Has("bundle")) return Usage();
